@@ -387,6 +387,13 @@ pub fn run_stage(
             .iter()
             .map(|&w| ConsumerCost::build(env, stage.output, w)),
     );
+    // A traced task records about one step per stage dataset plus one per
+    // shuffle write.
+    let steps_hint = if env.trace {
+        stage.datasets.len() + consumer_costs.len()
+    } else {
+        0
+    };
     let mut pref_datasets = std::mem::take(&mut state.pref_datasets);
     pref_datasets.clear();
     pref_datasets.extend(
@@ -435,7 +442,15 @@ pub fn run_stage(
             state.expire_claims(store, machine, start);
             let claimed = store.claim_exec(machine, exec_bytes);
 
-            let walk = walk_task(env, store, machine, stage.output, task_idx, &consumer_costs);
+            let walk = walk_task(
+                env,
+                store,
+                machine,
+                stage.output,
+                task_idx,
+                &consumer_costs,
+                steps_hint,
+            );
             let (noise_factor, is_straggler) = state.noise.sample();
             // GC pauses and slow containers have an absolute magnitude: a
             // straggler never finishes faster than the floor, no matter how
@@ -514,6 +529,7 @@ pub fn run_stage(
                         stage.output,
                         task_idx,
                         &consumer_costs,
+                        steps_hint,
                     );
                     let (cnoise, cstraggler) = state.noise.sample();
                     let mut cduration = cwalk.duration * cnoise;

@@ -187,7 +187,8 @@ impl ConsumerCost {
 ///
 /// `shuffle_consumers` carries the precomputed shuffle-write costs of the
 /// wide datasets (of the current job) that read this stage's output; a
-/// `ShuffleWrite` step is appended for each.
+/// `ShuffleWrite` step is appended for each. `steps_hint` pre-sizes the
+/// recorded steps (pass 0 when `env.trace` is off).
 pub fn walk_task(
     env: &TaskEnv<'_>,
     store: &mut BlockStore,
@@ -195,8 +196,12 @@ pub fn walk_task(
     output: DatasetId,
     p: u32,
     shuffle_consumers: &[ConsumerCost],
+    steps_hint: usize,
 ) -> TaskWalk {
-    let mut walk = TaskWalk::default();
+    let mut walk = TaskWalk {
+        duration: 0.0,
+        steps: Vec::with_capacity(steps_hint),
+    };
     materialize(env, store, machine, output, p, &mut walk);
     for c in shuffle_consumers {
         // Map-side combine work (the scan producing partial aggregates) is
@@ -428,7 +433,7 @@ mod tests {
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
         let cc = costs(&env, DatasetId(1), &[DatasetId(2)]);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &cc);
+        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &cc, 0);
         // Steps: SourceRead(in), Compute(parsed), ShuffleWrite(agg).
         assert_eq!(walk.steps.len(), 3);
         assert_eq!(walk.steps[0].kind, StepKind::SourceRead);
@@ -463,9 +468,9 @@ mod tests {
         let swap = HashMap::new();
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
-        let first = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let first = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
         assert_eq!(store.resident_count(DatasetId(1)), 1);
-        let second = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let second = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
         assert_eq!(second.steps.len(), 1);
         assert_eq!(second.steps[0].kind, StepKind::CacheRead);
         assert!(
@@ -487,9 +492,9 @@ mod tests {
         let swap = HashMap::new();
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
-        walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
-        let local = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
-        let remote = walk_task(&env, &mut store, 1, DatasetId(1), 0, &[]);
+        walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
+        let local = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
+        let remote = walk_task(&env, &mut store, 1, DatasetId(1), 0, &[], 0);
         assert!(remote.duration > local.duration * 2.0);
     }
 
@@ -500,7 +505,7 @@ mod tests {
         let swap = HashMap::new();
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(2), 0, &[]);
+        let walk = walk_task(&env, &mut store, 0, DatasetId(2), 0, &[], 0);
         assert_eq!(walk.steps.len(), 1);
         assert_eq!(walk.steps[0].kind, StepKind::ShuffleRead);
         // treeAggregate combines map-side: the reducer fetches 8 partial
@@ -548,12 +553,12 @@ mod tests {
         let mut store = store_for(&app, &cluster);
         // Materialize and cache all of X first.
         for p in 0..4 {
-            walk_task(&env, &mut store, 0, x, p, &[]);
+            walk_task(&env, &mut store, 0, x, p, &[], 0);
         }
         assert_eq!(store.resident_count(x), 4);
         // Now compute Y partition by partition: X shrinks in lock-step.
         for p in 0..4 {
-            walk_task(&env, &mut store, 0, y, p, &[]);
+            walk_task(&env, &mut store, 0, y, p, &[], 0);
             let expect_x = 4 - (p + 1);
             assert!(
                 store.resident_count(x) <= expect_x + 1,
@@ -577,7 +582,7 @@ mod tests {
         let mut env = make_env(&app, &cluster, &params, &persisted, &swap);
         env.trace = false;
         let mut store = store_for(&app, &cluster);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
         assert!(walk.steps.is_empty());
         assert!(walk.duration > 0.0);
     }

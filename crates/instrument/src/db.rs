@@ -2,8 +2,6 @@
 //! low-level runtime data is sent here; application/job/stage/task records
 //! follow when the application ends.
 
-use std::collections::HashMap;
-
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -77,10 +75,11 @@ pub struct ProfilingDatabase {
 }
 
 #[derive(Debug, Default)]
-struct DbInner {
+pub(crate) struct DbInner {
     tasks: Vec<TaskRecord>,
-    stages: HashMap<(JobId, StageId), StageRecord>,
-    observations: Vec<TransformationObservation>,
+    /// One record per `(job, stage)`, kept sorted by that key.
+    pub(crate) stages: Vec<StageRecord>,
+    pub(crate) observations: Vec<TransformationObservation>,
 }
 
 impl ProfilingDatabase {
@@ -95,6 +94,14 @@ impl ProfilingDatabase {
     /// original transformation — using only profile-visible timestamps.
     pub fn ingest(&self, instr: &Instrumented, report: &RunReport) {
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        // Each step yields at most one observation.
+        let steps: usize = report.traces.iter().map(|t| t.steps.len()).sum();
+        inner.tasks.reserve(report.traces.len());
+        inner.observations.reserve(steps);
+        // The executor emits a stage's traces back to back, so the sorted
+        // stage table is searched once per stage, not once per task.
+        let mut current: Option<((JobId, StageId), usize)> = None;
         for trace in &report.traces {
             inner.tasks.push(TaskRecord {
                 job: trace.job,
@@ -103,17 +110,41 @@ impl ProfilingDatabase {
                 start: trace.start,
                 finish: trace.finish,
             });
-            let rec = inner
-                .stages
-                .entry((trace.job, trace.stage))
-                .or_insert(StageRecord {
-                    job: trace.job,
-                    stage: trace.stage,
-                    n_tasks: 0,
-                });
+            let key = (trace.job, trace.stage);
+            let pos = match current {
+                Some((k, pos)) if k == key => pos,
+                _ => {
+                    let pos = match inner
+                        .stages
+                        .binary_search_by_key(&key, |s| (s.job, s.stage))
+                    {
+                        Ok(pos) => pos,
+                        Err(pos) => {
+                            inner.stages.insert(
+                                pos,
+                                StageRecord {
+                                    job: trace.job,
+                                    stage: trace.stage,
+                                    n_tasks: 0,
+                                },
+                            );
+                            pos
+                        }
+                    };
+                    current = Some((key, pos));
+                    pos
+                }
+            };
+            let rec = &mut inner.stages[pos];
             rec.n_tasks = rec.n_tasks.max(trace.task + 1);
             Self::observe_task(instr, trace, &mut inner.observations);
         }
+    }
+
+    /// Runs `f` over the database contents under its lock, without copying
+    /// them — the path [`crate::derive_metrics`] reads through.
+    pub(crate) fn with_inner<R>(&self, f: impl FnOnce(&DbInner) -> R) -> R {
+        f(&self.inner.lock())
     }
 
     /// Splits one task at profile boundaries (the §3.3 ENT cases).
@@ -187,19 +218,21 @@ impl ProfilingDatabase {
         }
     }
 
-    /// All task records.
+    /// All task records, in ingest order. A full copy: metric derivation
+    /// does not use it.
     #[must_use]
     pub fn tasks(&self) -> Vec<TaskRecord> {
         self.inner.lock().tasks.clone()
     }
 
-    /// All stage records.
+    /// All stage records, sorted by `(job, stage)`.
     #[must_use]
     pub fn stages(&self) -> Vec<StageRecord> {
-        self.inner.lock().stages.values().copied().collect()
+        self.inner.lock().stages.clone()
     }
 
-    /// All transformation observations.
+    /// All transformation observations, in ingest order. A full copy:
+    /// metric derivation reads them in place under the lock instead.
     #[must_use]
     pub fn observations(&self) -> Vec<TransformationObservation> {
         self.inner.lock().observations.clone()

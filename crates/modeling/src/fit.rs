@@ -10,8 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::families::ModelSpec;
-use crate::linalg::Matrix;
-use crate::nnls::nnls;
+use crate::nnls::NnlsWorkspace;
 
 /// One training observation: parameter point `(e, f, i)` and the measured
 /// response (dataset size or execution time).
@@ -33,6 +32,14 @@ impl Sample {
     pub fn ef(e: f64, f: f64, y: f64) -> Self {
         Sample { e, f, i: 1.0, y }
     }
+
+    /// Whether the parameter point and the response are all finite.
+    #[must_use]
+    pub(crate) fn is_finite(&self) -> bool {
+        [self.e, self.f, self.i, self.y]
+            .iter()
+            .all(|v| v.is_finite())
+    }
 }
 
 /// Errors from the fitting pipeline.
@@ -42,6 +49,8 @@ pub enum FitError {
     NoSamples,
     /// No candidate model specs were provided.
     NoCandidates,
+    /// A sample, or a model term evaluated at one, is not finite.
+    NonFinite,
 }
 
 impl std::fmt::Display for FitError {
@@ -49,6 +58,7 @@ impl std::fmt::Display for FitError {
         match self {
             FitError::NoSamples => write!(f, "no training samples"),
             FitError::NoCandidates => write!(f, "no candidate model specs"),
+            FitError::NonFinite => write!(f, "non-finite training sample"),
         }
     }
 }
@@ -138,53 +148,128 @@ pub struct CrossValidated {
     pub cv_error: f64,
 }
 
+/// Scratch for fitting specs to one sample set: the current spec's
+/// feature rows, evaluated once per spec rather than once per fold, and
+/// the NNLS workspace every solve reuses.
+#[derive(Debug, Default)]
+struct FitWorkspace {
+    /// Feature rows, row-major `samples × terms`.
+    rows: Vec<f64>,
+    terms: usize,
+    nnls: NnlsWorkspace,
+}
+
+impl FitWorkspace {
+    /// Evaluates `spec`'s feature rows at every sample. Returns `false`
+    /// when a sample or a feature is non-finite.
+    fn load(&mut self, spec: &ModelSpec, samples: &[Sample]) -> bool {
+        self.terms = spec.terms.len();
+        self.rows.clear();
+        for s in samples {
+            self.rows
+                .extend(spec.terms.iter().map(|t| t.eval(s.e, s.f, s.i)));
+        }
+        samples.iter().all(Sample::is_finite) && self.rows.iter().all(|v| v.is_finite())
+    }
+
+    fn row(&self, k: usize) -> &[f64] {
+        &self.rows[k * self.terms..(k + 1) * self.terms]
+    }
+
+    /// Fits the loaded spec on every sample but `skip`; the coefficients
+    /// are left in `self.nnls`.
+    fn fit_without(&mut self, samples: &[Sample], skip: Option<usize>) {
+        let m = samples.len() - usize::from(skip.is_some());
+        let k = self.terms;
+        let (a, b) = self.nnls.load(m, k);
+        let kept = samples.iter().enumerate().filter(|&(i, _)| Some(i) != skip);
+        for (r, (i, s)) in kept.enumerate() {
+            a[r * k..(r + 1) * k].copy_from_slice(&self.rows[i * k..(i + 1) * k]);
+            b[r] = s.y;
+        }
+        self.nnls.solve();
+    }
+
+    /// [`fit_spec`] through this workspace.
+    fn fit(&mut self, spec: &ModelSpec, samples: &[Sample]) -> Result<FittedModel, FitError> {
+        if samples.is_empty() {
+            return Err(FitError::NoSamples);
+        }
+        if !self.load(spec, samples) {
+            return Err(FitError::NonFinite);
+        }
+        self.fit_without(samples, None);
+        Ok(FittedModel {
+            spec: spec.clone(),
+            coeffs: self.nnls.solution().to_vec(),
+        })
+    }
+
+    /// [`loocv_residuals`] through this workspace, into `out`.
+    fn loocv_residuals(&mut self, spec: &ModelSpec, samples: &[Sample], out: &mut Vec<f64>) {
+        out.clear();
+        let n = samples.len();
+        if n < 2 || spec.terms.is_empty() || spec.terms.len() > n - 1 {
+            return;
+        }
+        if !self.load(spec, samples) {
+            return;
+        }
+        for (hold, s) in samples.iter().enumerate() {
+            self.fit_without(samples, Some(hold));
+            let pred: f64 = self
+                .row(hold)
+                .iter()
+                .zip(self.nnls.solution())
+                .map(|(x, t)| x * t)
+                .sum();
+            out.push(if s.y.abs() < 1e-12 {
+                (pred - s.y).abs()
+            } else {
+                ((pred - s.y) / s.y).abs()
+            });
+        }
+    }
+
+    /// [`loocv_error`] through this workspace; `residuals` is scratch.
+    fn loocv_error(
+        &mut self,
+        spec: &ModelSpec,
+        samples: &[Sample],
+        residuals: &mut Vec<f64>,
+    ) -> f64 {
+        let _prof = obs::prof::scope("loocv");
+        let reg = obs::global();
+        if reg.enabled() {
+            reg.counter(
+                "modeling_loocv_evaluations_total",
+                "candidate specs scored by leave-one-out cross-validation",
+            )
+            .inc();
+        }
+        self.loocv_residuals(spec, samples, residuals);
+        if residuals.is_empty() {
+            return f64::INFINITY;
+        }
+        residuals.iter().sum::<f64>() / residuals.len() as f64
+    }
+}
+
 /// Fits a single spec on all samples with non-negative coefficients.
 pub fn fit_spec(spec: &ModelSpec, samples: &[Sample]) -> Result<FittedModel, FitError> {
-    if samples.is_empty() {
-        return Err(FitError::NoSamples);
-    }
-    let rows: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|s| spec.features(s.e, s.f, s.i))
-        .collect();
-    let y: Vec<f64> = samples.iter().map(|s| s.y).collect();
-    let coeffs = nnls(&Matrix::from_rows(&rows), &y);
-    Ok(FittedModel {
-        spec: spec.clone(),
-        coeffs,
-    })
+    FitWorkspace::default().fit(spec, samples)
 }
 
 /// Per-holdout leave-one-out relative errors of a spec, in sample order:
 /// sample `k` of the result is the relative prediction error at sample `k`
 /// when the model was fit on everything *but* sample `k`. Empty when the
 /// spec is infeasible for the sample count (fewer than 2 samples, no
-/// terms, or more coefficients than remaining samples).
+/// terms, or more coefficients than remaining samples) or a sample is
+/// non-finite.
 #[must_use]
 pub fn loocv_residuals(spec: &ModelSpec, samples: &[Sample]) -> Vec<f64> {
-    let n = samples.len();
-    if n < 2 || spec.terms.is_empty() || spec.terms.len() > n - 1 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(n);
-    for hold in 0..n {
-        let train: Vec<Sample> = samples
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != hold)
-            .map(|(_, s)| *s)
-            .collect();
-        let Ok(model) = fit_spec(spec, &train) else {
-            return Vec::new();
-        };
-        let s = samples[hold];
-        let pred = model.predict(s.e, s.f, s.i);
-        out.push(if s.y.abs() < 1e-12 {
-            (pred - s.y).abs()
-        } else {
-            ((pred - s.y) / s.y).abs()
-        });
-    }
+    let mut out = Vec::new();
+    FitWorkspace::default().loocv_residuals(spec, samples, &mut out);
     out
 }
 
@@ -194,20 +279,7 @@ pub fn loocv_residuals(spec: &ModelSpec, samples: &[Sample]) -> Vec<f64> {
 /// samples are penalized with infinite error.
 #[must_use]
 pub fn loocv_error(spec: &ModelSpec, samples: &[Sample]) -> f64 {
-    let _prof = obs::prof::scope("loocv");
-    let reg = obs::global();
-    if reg.enabled() {
-        reg.counter(
-            "modeling_loocv_evaluations_total",
-            "candidate specs scored by leave-one-out cross-validation",
-        )
-        .inc();
-    }
-    let residuals = loocv_residuals(spec, samples);
-    if residuals.is_empty() {
-        return f64::INFINITY;
-    }
-    residuals.iter().sum::<f64>() / residuals.len() as f64
+    FitWorkspace::default().loocv_error(spec, samples, &mut Vec::new())
 }
 
 /// One candidate's score in a [`FitReport`].
@@ -295,11 +367,16 @@ pub fn fit_best_with_report(
     if samples.is_empty() {
         return Err(FitError::NoSamples);
     }
+    if !samples.iter().all(Sample::is_finite) {
+        return Err(FitError::NonFinite);
+    }
     let _prof = obs::prof::scope("fit");
+    let mut ws = FitWorkspace::default();
+    let mut residuals = Vec::new();
     let mut scores = Vec::with_capacity(candidates.len());
     let mut best: Option<(f64, usize)> = None;
     for (k, spec) in candidates.iter().enumerate() {
-        let err = loocv_error(spec, samples);
+        let err = ws.loocv_error(spec, samples, &mut residuals);
         let better = match best {
             None => true,
             Some((e, _)) => err < e - 1e-15,
@@ -315,8 +392,8 @@ pub fn fit_best_with_report(
     }
     let (cv_error, kbest) = best.expect("candidates is non-empty");
     scores[kbest].selected = true;
-    let model = fit_spec(&candidates[kbest], samples)?;
-    let residuals = loocv_residuals(&candidates[kbest], samples);
+    let model = ws.fit(&candidates[kbest], samples)?;
+    ws.loocv_residuals(&candidates[kbest], samples, &mut residuals);
     let report = FitReport {
         candidates: scores,
         winner: model.clone(),
@@ -454,6 +531,58 @@ mod tests {
             fit_best(&ModelSpec::size_candidates(), &[]),
             Err(FitError::NoSamples)
         ));
+    }
+
+    /// A NaN response used to reach the solver and panic on the gradient
+    /// comparison (an abort in release builds); now every entry point
+    /// rejects non-finite input.
+    #[test]
+    fn non_finite_samples_are_rejected() {
+        let candidates = ModelSpec::size_candidates();
+        let bad_values = [
+            (3, Sample::ef(40_000.0, 60_000.0, f64::NAN)),
+            (0, Sample::ef(f64::INFINITY, 20_000.0, 1.0)),
+            (8, Sample::ef(70_000.0, f64::NEG_INFINITY, 1.0)),
+            (
+                5,
+                Sample {
+                    i: f64::NAN,
+                    ..Sample::ef(1.0, 1.0, 1.0)
+                },
+            ),
+        ];
+        for (k, bad) in bad_values {
+            let mut samples = grid(|e, f| 0.016 * e * f);
+            samples[k] = bad;
+            assert!(!bad.is_finite());
+            assert_eq!(
+                fit_best_with_report(&candidates, &samples).unwrap_err(),
+                FitError::NonFinite
+            );
+            assert_eq!(
+                fit_spec(&candidates[0], &samples).unwrap_err(),
+                FitError::NonFinite
+            );
+            assert!(loocv_residuals(&candidates[0], &samples).is_empty());
+            assert_eq!(loocv_error(&candidates[0], &samples), f64::INFINITY);
+        }
+        // Finite samples whose e·f overflows: specs with that term cannot
+        // be fitted, the others still can.
+        let huge = vec![Sample::ef(1e200, 1e200, 1.0); 4];
+        let ef = ModelSpec::new(vec![Term::EF]);
+        assert_eq!(fit_spec(&ef, &huge).unwrap_err(), FitError::NonFinite);
+        assert_eq!(loocv_error(&ef, &huge), f64::INFINITY);
+        let (cv, _) = fit_best_with_report(&candidates, &huge).unwrap();
+        assert!(
+            !cv.model.spec.terms.contains(&Term::EF),
+            "{}",
+            cv.model.spec
+        );
+        assert!(cv.cv_error.is_finite());
+        assert_eq!(
+            FitError::NonFinite.to_string(),
+            "non-finite training sample"
+        );
     }
 
     #[test]

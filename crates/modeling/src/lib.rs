@@ -22,6 +22,8 @@ pub mod fit;
 pub mod linalg;
 pub mod metrics;
 pub mod nnls;
+#[cfg(test)]
+mod reference;
 
 pub use design::{d_optimal_greedy, full_factorial};
 pub use families::{ModelSpec, Term};

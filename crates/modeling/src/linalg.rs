@@ -60,6 +60,12 @@ impl Matrix {
         self.cols
     }
 
+    /// The elements, row-major.
+    #[must_use]
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Borrowed row slice.
     #[must_use]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -184,44 +190,8 @@ impl Matrix {
     pub fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve_spd needs a square matrix");
         assert_eq!(b.len(), self.rows);
-        let n = self.rows;
-        // Cholesky factor L (lower), row-major.
-        let mut l = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l[i * n + j] = sum.sqrt();
-                } else {
-                    l[i * n + j] = sum / l[j * n + j];
-                }
-            }
-        }
-        // Forward substitution L z = b.
-        let mut z = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= l[i * n + k] * z[k];
-            }
-            z[i] = sum / l[i * n + i];
-        }
-        // Backward substitution Lᵀ x = z.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = z[i];
-            for k in i + 1..n {
-                sum -= l[k * n + i] * x[k];
-            }
-            x[i] = sum / l[i * n + i];
-        }
-        Some(x)
+        let (mut l, mut x) = (Vec::new(), Vec::new());
+        cholesky_solve(self.rows, |i, j| self[(i, j)], |i| b[i], &mut l, &mut x).then_some(x)
     }
 
     /// `log(det(selfᵀ · self + ridge·I))` — the D-optimality objective used
@@ -259,6 +229,56 @@ impl Matrix {
         }
         logdet
     }
+}
+
+/// Solves the `n × n` symmetric positive-definite system `G·x = rhs` by
+/// Cholesky, reading `G` through `g(row, col)` (only `col <= row`) and
+/// `rhs` through `rhs(row)`. The factor goes to `l` and the solution to
+/// `x`, both caller-owned so repeated solves can reuse them. Returns
+/// `false` if `G` is not (numerically) positive definite.
+pub(crate) fn cholesky_solve(
+    n: usize,
+    g: impl Fn(usize, usize) -> f64,
+    rhs: impl Fn(usize) -> f64,
+    l: &mut Vec<f64>,
+    x: &mut Vec<f64>,
+) -> bool {
+    // Cholesky factor L (lower), row-major.
+    l.clear();
+    l.resize(n * n, 0.0);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = g(i, j);
+            for k in 0..j {
+                sum -= l[i * n + k] * l[j * n + k];
+            }
+            if i == j {
+                if sum <= 0.0 {
+                    return false;
+                }
+                l[i * n + j] = sum.sqrt();
+            } else {
+                l[i * n + j] = sum / l[j * n + j];
+            }
+        }
+    }
+    // Forward substitution L z = rhs, then backward Lᵀ x = z in place.
+    x.clear();
+    for i in 0..n {
+        let mut sum = rhs(i);
+        for k in 0..i {
+            sum -= l[i * n + k] * x[k];
+        }
+        x.push(sum / l[i * n + i]);
+    }
+    for i in (0..n).rev() {
+        let mut sum = x[i];
+        for k in i + 1..n {
+            sum -= l[k * n + i] * x[k];
+        }
+        x[i] = sum / l[i * n + i];
+    }
+    true
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

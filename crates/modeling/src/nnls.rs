@@ -5,7 +5,7 @@
 //! For linear-in-coefficients models that is exactly the NNLS problem
 //! `min ‖A·x − b‖₂ s.t. x ≥ 0`.
 
-use crate::linalg::Matrix;
+use crate::linalg::{cholesky_solve, Matrix};
 
 /// Solves `min ‖a·x − b‖₂` subject to `x ≥ 0` with Lawson–Hanson.
 ///
@@ -15,7 +15,7 @@ use crate::linalg::Matrix;
 /// found.
 ///
 /// # Panics
-/// Panics if `b.len() != a.rows()`.
+/// Panics if `b.len() != a.rows()`, or if an input is non-finite.
 #[must_use]
 pub fn nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
     nnls_with_stats(a, b).0
@@ -27,141 +27,242 @@ pub fn nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
 /// enabled.
 ///
 /// # Panics
-/// Panics if `b.len() != a.rows()`.
+/// Panics if `b.len() != a.rows()`, or if an input is non-finite.
 #[must_use]
 pub fn nnls_with_stats(a: &Matrix, b: &[f64]) -> (Vec<f64>, u64) {
     assert_eq!(b.len(), a.rows(), "shape mismatch in nnls");
-    let _prof = obs::prof::scope("nnls");
-    // Columns of calibration design matrices span many orders of magnitude
-    // (a constant term next to e·f ~ 1e10). Normalize each column to unit
-    // norm so the Gram matrix stays well conditioned, then unscale the
-    // coefficients at the end; non-negativity is preserved because the
-    // scales are positive.
-    let n = a.cols();
-    let mut scales = vec![1.0f64; n];
-    let mut scaled = a.clone();
-    for j in 0..n {
-        let norm = (0..a.rows())
-            .map(|i| a[(i, j)] * a[(i, j)])
-            .sum::<f64>()
-            .sqrt();
-        if norm > 1e-300 {
-            scales[j] = norm;
-            for i in 0..a.rows() {
-                scaled[(i, j)] /= norm;
-            }
-        }
-    }
-    let (mut x, iterations) = nnls_normalized(&scaled, b);
-    for j in 0..n {
-        x[j] /= scales[j];
-    }
-    obs::prof::count("nnls_iterations", iterations);
-    let reg = obs::global();
-    if reg.enabled() {
-        reg.counter("modeling_nnls_solves_total", "NNLS solves performed")
-            .inc();
-        reg.counter(
-            "modeling_nnls_iterations_total",
-            "Lawson-Hanson outer iterations across all solves",
-        )
-        .add(iterations);
-        reg.histogram(
-            "modeling_nnls_iterations",
-            "Lawson-Hanson outer iterations per solve",
-        )
-        .record(iterations);
-    }
-    (x, iterations)
+    let mut ws = NnlsWorkspace::default();
+    let (da, db) = ws.load(a.rows(), a.cols());
+    da.copy_from_slice(a.as_slice());
+    db.copy_from_slice(b);
+    let iterations = ws.solve();
+    (std::mem::take(&mut ws.x), iterations)
 }
 
-/// Lawson–Hanson on a column-normalized design matrix. Returns the
-/// solution and the number of outer iterations executed.
-fn nnls_normalized(a: &Matrix, b: &[f64]) -> (Vec<f64>, u64) {
-    let n = a.cols();
-    let at = a.transpose();
-    let gram = at.matmul(a); // AᵀA, n×n
-    let atb = at.matvec(b); // Aᵀb
+/// Every buffer one Lawson–Hanson solve touches, reused from solve to
+/// solve: after the first solve of a given shape, solving allocates
+/// nothing. LOO-CV runs all folds of all candidates of one model
+/// selection through a single workspace.
+///
+/// The arithmetic is the textbook dense formulation (transpose, Gram
+/// product, restricted normal equations solved by Cholesky), performed in
+/// exactly that operation order, so results and iteration counts are
+/// bit-identical to building each matrix afresh.
+#[derive(Debug, Default)]
+pub(crate) struct NnlsWorkspace {
+    rows: usize,
+    cols: usize,
+    /// The design matrix, row-major `rows × cols`; column-normalized in
+    /// place by [`NnlsWorkspace::solve`].
+    a: Vec<f64>,
+    /// The right-hand side, length `rows`.
+    b: Vec<f64>,
+    /// Column norms the coefficients are unscaled by.
+    scales: Vec<f64>,
+    /// `AᵀA`, `cols × cols`.
+    gram: Vec<f64>,
+    /// `Aᵀb`.
+    atb: Vec<f64>,
+    /// The current iterate; the solution once `solve` returns.
+    x: Vec<f64>,
+    /// The passive-set candidate solution (zero off the passive set).
+    z: Vec<f64>,
+    /// The negative gradient `Aᵀb − AᵀA·x`.
+    w: Vec<f64>,
+    passive: Vec<bool>,
+    /// Indices of the passive columns, ascending.
+    idx: Vec<usize>,
+    /// Cholesky factor of the restricted Gram matrix, `k × k`.
+    chol: Vec<f64>,
+    /// The restricted solution.
+    y: Vec<f64>,
+}
 
-    let mut x = vec![0.0f64; n];
-    let mut passive = vec![false; n];
-    let max_outer = 30 * n.max(1);
+impl NnlsWorkspace {
+    /// Shapes the workspace for a `rows × cols` problem and returns the
+    /// design-matrix and right-hand-side buffers for the caller to fill.
+    pub(crate) fn load(&mut self, rows: usize, cols: usize) -> (&mut [f64], &mut [f64]) {
+        self.rows = rows;
+        self.cols = cols;
+        self.a.resize(rows * cols, 0.0);
+        self.b.resize(rows, 0.0);
+        (&mut self.a[..rows * cols], &mut self.b[..rows])
+    }
 
-    // Solve the unconstrained problem restricted to the passive set.
-    let solve_passive = |passive: &[bool]| -> Option<Vec<f64>> {
-        let idx: Vec<usize> = (0..n).filter(|&j| passive[j]).collect();
-        if idx.is_empty() {
-            return Some(vec![0.0; n]);
-        }
-        let k = idx.len();
-        let mut g = Matrix::zeros(k, k);
-        let mut rhs = vec![0.0; k];
-        for (r, &jr) in idx.iter().enumerate() {
-            rhs[r] = atb[jr];
-            for (c, &jc) in idx.iter().enumerate() {
-                g[(r, c)] = gram[(jr, jc)];
+    /// The coefficients of the last [`NnlsWorkspace::solve`].
+    pub(crate) fn solution(&self) -> &[f64] {
+        &self.x[..self.cols]
+    }
+
+    /// Solves the loaded problem and returns the number of outer
+    /// iterations. Columns are normalized to unit norm first: design
+    /// matrices here span many orders of magnitude (a constant term next
+    /// to e·f ~ 1e10), and unit columns keep the Gram matrix well
+    /// conditioned. Unscaling at the end preserves non-negativity because
+    /// the scales are positive.
+    pub(crate) fn solve(&mut self) -> u64 {
+        let _prof = obs::prof::scope("nnls");
+        let (m, n) = (self.rows, self.cols);
+        let a = &mut self.a[..m * n];
+        self.scales.clear();
+        self.scales.resize(n, 1.0);
+        for j in 0..n {
+            let norm = (0..m)
+                .map(|i| a[i * n + j] * a[i * n + j])
+                .sum::<f64>()
+                .sqrt();
+            if norm > 1e-300 {
+                self.scales[j] = norm;
+                for i in 0..m {
+                    a[i * n + j] /= norm;
+                }
             }
         }
-        // Tiny ridge for numerical robustness on near-collinear terms.
-        for r in 0..k {
-            g[(r, r)] += 1e-12 * (1.0 + g[(r, r)].abs());
+        let iterations = self.lawson_hanson();
+        for (x, scale) in self.x.iter_mut().zip(&self.scales) {
+            *x /= scale;
         }
-        let z = g.solve_spd(&rhs)?;
-        let mut full = vec![0.0; n];
-        for (r, &j) in idx.iter().enumerate() {
-            full[j] = z[r];
+        obs::prof::count("nnls_iterations", iterations);
+        let reg = obs::global();
+        if reg.enabled() {
+            reg.counter("modeling_nnls_solves_total", "NNLS solves performed")
+                .inc();
+            reg.counter(
+                "modeling_nnls_iterations_total",
+                "Lawson-Hanson outer iterations across all solves",
+            )
+            .add(iterations);
+            reg.histogram(
+                "modeling_nnls_iterations",
+                "Lawson-Hanson outer iterations per solve",
+            )
+            .record(iterations);
         }
-        Some(full)
-    };
+        iterations
+    }
 
-    let mut iterations = 0u64;
-    for _ in 0..max_outer {
-        iterations += 1;
-        // Gradient of ½‖Ax−b‖² is AᵀAx − Aᵀb; w = −gradient.
-        let grad = gram.matvec(&x);
-        let w: Vec<f64> = (0..n).map(|j| atb[j] - grad[j]).collect();
-
-        // Pick the most violated inactive constraint.
-        let candidate = (0..n)
-            .filter(|&j| !passive[j])
-            .max_by(|&i, &j| w[i].partial_cmp(&w[j]).expect("finite gradients"));
-        let Some(jmax) = candidate else { break };
-        let tol = 1e-10 * (1.0 + atb.iter().fold(0.0f64, |m, v| m.max(v.abs())));
-        if w[jmax] <= tol {
-            break; // KKT conditions met.
-        }
-        passive[jmax] = true;
-
-        // Inner loop: retreat until the passive solution is feasible.
-        loop {
-            let Some(z) = solve_passive(&passive) else {
-                // Singular restricted system: drop the newest variable.
-                passive[jmax] = false;
-                break;
-            };
-            let infeasible: Vec<usize> = (0..n).filter(|&j| passive[j] && z[j] <= 0.0).collect();
-            if infeasible.is_empty() {
-                x = z;
-                break;
+    /// Lawson–Hanson on the column-normalized matrix. Leaves the solution
+    /// in `x` and returns the number of outer iterations executed.
+    fn lawson_hanson(&mut self) -> u64 {
+        let (m, n) = (self.rows, self.cols);
+        let a = &self.a[..m * n];
+        let b = &self.b[..m];
+        // AᵀA, accumulated as the row-by-column product of Aᵀ and A.
+        self.gram.clear();
+        self.gram.resize(n * n, 0.0);
+        for i in 0..n {
+            for k in 0..m {
+                let v = a[k * n + i];
+                if v == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    self.gram[i * n + j] += v * a[k * n + j];
+                }
             }
-            // Step from x toward z, stopping at the first boundary.
-            let alpha = infeasible
-                .iter()
-                .map(|&j| x[j] / (x[j] - z[j]))
-                .fold(f64::INFINITY, f64::min)
-                .clamp(0.0, 1.0);
+        }
+        self.atb.clear();
+        self.atb
+            .extend((0..n).map(|i| (0..m).map(|k| a[k * n + i] * b[k]).sum::<f64>()));
+        for v in [&mut self.x, &mut self.z, &mut self.w] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        self.passive.clear();
+        self.passive.resize(n, false);
+        let max_outer = 30 * n.max(1);
+        let tol = 1e-10 * (1.0 + self.atb.iter().fold(0.0f64, |m, v| m.max(v.abs())));
+
+        let mut iterations = 0u64;
+        for _ in 0..max_outer {
+            iterations += 1;
+            // Gradient of ½‖Ax−b‖² is AᵀAx − Aᵀb; w = −gradient.
             for j in 0..n {
-                if passive[j] {
-                    x[j] += alpha * (z[j] - x[j]);
-                    if x[j] <= 1e-14 {
-                        x[j] = 0.0;
-                        passive[j] = false;
+                let grad: f64 = self.gram[j * n..(j + 1) * n]
+                    .iter()
+                    .zip(&self.x)
+                    .map(|(g, x)| g * x)
+                    .sum();
+                self.w[j] = self.atb[j] - grad;
+            }
+
+            // Pick the most violated inactive constraint.
+            let (w, passive) = (&self.w, &self.passive);
+            let candidate = (0..n)
+                .filter(|&j| !passive[j])
+                .max_by(|&i, &j| w[i].partial_cmp(&w[j]).expect("finite gradients"));
+            let Some(jmax) = candidate else { break };
+            if self.w[jmax] <= tol {
+                break; // KKT conditions met.
+            }
+            self.passive[jmax] = true;
+
+            // Inner loop: retreat until the passive solution is feasible.
+            loop {
+                if !self.solve_passive() {
+                    // Singular restricted system: drop the newest variable.
+                    self.passive[jmax] = false;
+                    break;
+                }
+                // Step from x toward z, stopping at the first boundary.
+                let mut infeasible = false;
+                let mut alpha = f64::INFINITY;
+                for j in 0..n {
+                    if self.passive[j] && self.z[j] <= 0.0 {
+                        infeasible = true;
+                        alpha = f64::min(alpha, self.x[j] / (self.x[j] - self.z[j]));
+                    }
+                }
+                if !infeasible {
+                    self.x.copy_from_slice(&self.z);
+                    break;
+                }
+                let alpha = alpha.clamp(0.0, 1.0);
+                for j in 0..n {
+                    if self.passive[j] {
+                        self.x[j] += alpha * (self.z[j] - self.x[j]);
+                        if self.x[j] <= 1e-14 {
+                            self.x[j] = 0.0;
+                            self.passive[j] = false;
+                        }
                     }
                 }
             }
         }
+        iterations
     }
-    (x, iterations)
+
+    /// Solves the unconstrained problem restricted to the passive set into
+    /// `z`: the normal equations `G·z = Aᵀb` over the passive columns,
+    /// with a tiny ridge for numerical robustness on near-collinear terms.
+    /// Returns `false` when the restricted system is not (numerically)
+    /// positive definite.
+    fn solve_passive(&mut self) -> bool {
+        let n = self.cols;
+        self.idx.clear();
+        self.idx.extend((0..n).filter(|&j| self.passive[j]));
+        self.z.fill(0.0);
+        let k = self.idx.len();
+        if k == 0 {
+            return true;
+        }
+        let (idx, gram, atb) = (&self.idx, &self.gram, &self.atb);
+        let g = |r: usize, c: usize| {
+            let v = gram[idx[r] * n + idx[c]];
+            if r == c {
+                v + 1e-12 * (1.0 + v.abs())
+            } else {
+                v
+            }
+        };
+        if !cholesky_solve(k, g, |r| atb[idx[r]], &mut self.chol, &mut self.y) {
+            return false;
+        }
+        for (&j, &y) in idx.iter().zip(&self.y) {
+            self.z[j] = y;
+        }
+        true
+    }
 }
 
 #[cfg(test)]

@@ -17,6 +17,13 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== e2ebench (benchmark unit tests; 1 s traced smoke run per workload, which checks replay == pipeline artifact bytes at seeds 0x5EED and 0xDDBA11) =="
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+for workload in train-sim train-calib; do
+    cargo run -q --release --offline --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null
+done
+
 echo "== trace golden (Chrome trace_event export is byte-stable) =="
 cargo test -q --offline --test trace_golden
 
