@@ -3,13 +3,23 @@
 //! Implemented directly on `proc_macro::TokenStream` — the environment has
 //! no crates.io access, so `syn`/`quote` are unavailable. The parser only
 //! understands the shapes this workspace actually uses: non-generic structs
-//! (named, tuple, unit) and enums (unit, tuple, struct variants), with
-//! arbitrary attributes skipped.
+//! (named, tuple, unit) and enums (unit, tuple, struct variants). Of the
+//! `#[serde(...)]` attributes it honours container `default` and
+//! `deny_unknown_fields` and field `default` / `default = "path"`, with
+//! serde's meaning; any other serde attribute is a compile error. Struct
+//! objects that repeat a field's key are rejected, as in `serde_json`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
+/// A named field and the expression a missing key decodes to (`None`:
+/// the field is required, unless the container has `default`).
+struct Field {
+    name: String,
+    missing: Option<String>,
+}
+
 enum Fields {
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
     Unit,
 }
@@ -23,6 +33,8 @@ enum Item {
     Struct {
         name: String,
         fields: Fields,
+        default: bool,
+        deny_unknown_fields: bool,
     },
     Enum {
         name: String,
@@ -30,19 +42,42 @@ enum Item {
     },
 }
 
-/// Skips `#[...]` attribute pairs at the cursor.
-fn skip_attrs(toks: &[TokenTree], mut i: usize) -> usize {
-    while i + 1 < toks.len() {
-        match (&toks[i], &toks[i + 1]) {
-            (TokenTree::Punct(p), TokenTree::Group(g))
-                if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
-            {
-                i += 2;
+/// Consumes `#[...]` attributes at the cursor and returns the entries of
+/// any `#[serde(...)]` among them as `(form, path)`: the form is `key`, or
+/// `key=` for `key = "path"`. A form outside `allowed` is an error.
+fn parse_attrs(
+    toks: &[TokenTree],
+    mut i: usize,
+    allowed: &[&str],
+) -> Result<(usize, Vec<(String, String)>), String> {
+    let mut attrs = Vec::new();
+    while let (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g))) =
+        (toks.get(i), toks.get(i + 1))
+    {
+        if p.as_char() != '#' || g.delimiter() != Delimiter::Bracket {
+            break;
+        }
+        i += 2;
+        let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+        let [TokenTree::Ident(id), TokenTree::Group(args)] = inner.as_slice() else {
+            continue;
+        };
+        if id.to_string() != "serde" {
+            continue;
+        }
+        let args = args.stream().to_string();
+        for entry in args.split(',').map(str::trim).filter(|e| !e.is_empty()) {
+            let (form, path) = match entry.split_once('=') {
+                Some((key, lit)) => (format!("{}=", key.trim()), lit.trim().trim_matches('"')),
+                None => (entry.to_owned(), ""),
+            };
+            if !allowed.contains(&form.as_str()) {
+                return Err(format!("unsupported serde attribute `{entry}` here"));
             }
-            _ => break,
+            attrs.push((form, path.to_owned()));
         }
     }
-    i
+    Ok((i, attrs))
 }
 
 /// Skips `pub` / `pub(...)` visibility at the cursor.
@@ -78,18 +113,25 @@ fn skip_to_comma(toks: &[TokenTree], mut i: usize) -> usize {
     i
 }
 
-fn parse_named_fields(group: &[TokenTree]) -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
+fn parse_named_fields(group: &[TokenTree]) -> Result<Vec<Field>, String> {
+    let mut fields = Vec::new();
     let mut i = 0;
     while i < group.len() {
-        i = skip_vis(group, skip_attrs(group, i));
+        let (next, attrs) = parse_attrs(group, i, &["default", "default="])?;
+        i = skip_vis(group, next);
         if i >= group.len() {
             break;
         }
         let TokenTree::Ident(name) = &group[i] else {
             return Err(format!("expected field name, got `{}`", group[i]));
         };
-        names.push(name.to_string());
+        fields.push(Field {
+            name: name.to_string(),
+            missing: attrs.last().map(|(form, path)| match form.as_str() {
+                "default=" => format!("{path}()"),
+                _ => "::std::default::Default::default()".to_owned(),
+            }),
+        });
         i += 1;
         match group.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
@@ -98,28 +140,28 @@ fn parse_named_fields(group: &[TokenTree]) -> Result<Vec<String>, String> {
         i = skip_to_comma(group, i);
         i += 1; // past the comma (or end)
     }
-    Ok(names)
+    Ok(fields)
 }
 
-fn parse_tuple_fields(group: &[TokenTree]) -> usize {
+fn parse_tuple_fields(group: &[TokenTree]) -> Result<usize, String> {
     let mut arity = 0;
     let mut i = 0;
     while i < group.len() {
-        i = skip_vis(group, skip_attrs(group, i));
+        i = skip_vis(group, parse_attrs(group, i, &[])?.0);
         if i >= group.len() {
             break;
         }
         arity += 1;
         i = skip_to_comma(group, i) + 1;
     }
-    arity
+    Ok(arity)
 }
 
 fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < group.len() {
-        i = skip_attrs(group, i);
+        i = parse_attrs(group, i, &[])?.0;
         if i >= group.len() {
             break;
         }
@@ -132,7 +174,7 @@ fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
                 i += 1;
-                Fields::Tuple(parse_tuple_fields(&inner))
+                Fields::Tuple(parse_tuple_fields(&inner)?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
@@ -149,7 +191,9 @@ fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let toks: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_vis(&toks, skip_attrs(&toks, 0));
+    let (i, attrs) = parse_attrs(&toks, 0, &["default", "deny_unknown_fields"])?;
+    let has = |form: &str| attrs.iter().any(|(f, _)| f == form);
+    let mut i = skip_vis(&toks, i);
     let kind = match &toks.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => return Err(format!("expected `struct` or `enum`, got {other:?}")),
@@ -176,13 +220,22 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                     let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                    Fields::Tuple(parse_tuple_fields(&inner))
+                    Fields::Tuple(parse_tuple_fields(&inner)?)
                 }
                 Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
                 other => return Err(format!("unexpected struct body: {other:?}")),
             };
-            Ok(Item::Struct { name, fields })
+            if !attrs.is_empty() && !matches!(fields, Fields::Named(_)) {
+                return Err(format!("`{name}`: serde attributes need named fields"));
+            }
+            Ok(Item::Struct {
+                name,
+                fields,
+                default: has("default"),
+                deny_unknown_fields: has("deny_unknown_fields"),
+            })
         }
+        "enum" if !attrs.is_empty() => Err(format!("`{name}`: serde attributes need a struct")),
         "enum" => match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
@@ -204,14 +257,14 @@ fn letters(n: usize) -> Vec<String> {
 fn gen_serialize(item: &Item) -> String {
     let mut s = String::new();
     match item {
-        Item::Struct { name, fields } => {
+        Item::Struct { name, fields, .. } => {
             s.push_str(&format!(
                 "impl ::serde::Serialize for {name} {{\n  fn to_json_value(&self) -> ::serde::Value {{\n"
             ));
             match fields {
-                Fields::Named(names) => {
+                Fields::Named(fields) => {
                     s.push_str("    ::serde::Value::Object(vec![\n");
-                    for f in names {
+                    for Field { name: f, .. } in fields {
                         s.push_str(&format!(
                             "      (\"{f}\".to_owned(), ::serde::Serialize::to_json_value(&self.{f})),\n"
                         ));
@@ -260,8 +313,8 @@ fn gen_serialize(item: &Item) -> String {
                         ));
                     }
                     Fields::Named(fields) => {
-                        let binds = fields.join(", ");
-                        let entries: Vec<String> = fields
+                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let entries: Vec<String> = names
                             .iter()
                             .map(|f| {
                                 format!(
@@ -270,7 +323,8 @@ fn gen_serialize(item: &Item) -> String {
                             })
                             .collect();
                         s.push_str(&format!(
-                            "      {name}::{vn} {{ {binds} }} => ::serde::Value::Object(vec![(\"{vn}\".to_owned(), ::serde::Value::Object(vec![{}]))]),\n",
+                            "      {name}::{vn} {{ {} }} => ::serde::Value::Object(vec![(\"{vn}\".to_owned(), ::serde::Value::Object(vec![{}]))]),\n",
+                            names.join(", "),
                             entries.join(", ")
                         ));
                     }
@@ -282,24 +336,52 @@ fn gen_serialize(item: &Item) -> String {
     s
 }
 
+/// The `field: value,` initializers decoding `fields` out of the object
+/// entries bound to `entries`.
+fn gen_named_fields(fields: &[Field], entries: &str, container_default: bool) -> String {
+    let mut body = String::new();
+    for Field { name, missing } in fields {
+        let missing = match missing {
+            Some(expr) => expr.clone(),
+            None if container_default => format!("__default.{name}"),
+            None => format!("return Err(::serde::DeError(\"missing field `{name}`\".to_owned()))"),
+        };
+        body.push_str(&format!(
+            "      {name}: match ::serde::__field({entries}, \"{name}\")? {{ Some(__v) => ::serde::Deserialize::from_json_value(__v)?, None => {missing} }},\n"
+        ));
+    }
+    body
+}
+
 fn gen_deserialize(item: &Item) -> String {
     let mut s = String::new();
     match item {
-        Item::Struct { name, fields } => {
+        Item::Struct {
+            name,
+            fields,
+            default,
+            deny_unknown_fields,
+        } => {
             s.push_str(&format!(
                 "impl ::serde::Deserialize for {name} {{\n  fn from_json_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n"
             ));
             match fields {
-                Fields::Named(names) => {
+                Fields::Named(fields) => {
+                    let known: Vec<String> =
+                        fields.iter().map(|f| format!("{:?}", f.name)).collect();
                     s.push_str(&format!(
-                        "    let __entries = v.expect_object(\"{name}\")?;\n    Ok({name} {{\n"
+                        "    let __entries = ::serde::__object(v, \"{name}\", &[{}], {deny_unknown_fields})?;\n",
+                        known.join(", ")
                     ));
-                    for f in names {
-                        s.push_str(&format!(
-                            "      {f}: ::serde::Deserialize::from_json_value(::serde::__field(__entries, \"{f}\")?)?,\n"
-                        ));
+                    if *default {
+                        s.push_str(
+                            "    let __default: Self = ::std::default::Default::default();\n",
+                        );
                     }
-                    s.push_str("    })\n");
+                    s.push_str(&format!(
+                        "    Ok({name} {{\n{}    }})\n",
+                        gen_named_fields(fields, "__entries", *default)
+                    ));
                 }
                 Fields::Tuple(1) => {
                     s.push_str(&format!(
@@ -361,14 +443,9 @@ fn gen_deserialize(item: &Item) -> String {
                         ));
                     }
                     Fields::Named(fields) => {
-                        let mut body = String::new();
-                        for f in fields {
-                            body.push_str(&format!(
-                                "              {f}: ::serde::Deserialize::from_json_value(::serde::__field(__inner, \"{f}\")?)?,\n"
-                            ));
-                        }
                         s.push_str(&format!(
-                            "          \"{vn}\" => {{\n            let __inner = __val.expect_object(\"{name}::{vn}\")?;\n            Ok({name}::{vn} {{\n{body}            }})\n          }},\n"
+                            "          \"{vn}\" => {{\n            let __inner = __val.expect_object(\"{name}::{vn}\")?;\n            Ok({name}::{vn} {{\n{}            }})\n          }},\n",
+                            gen_named_fields(fields, "__inner", false)
                         ));
                     }
                 }

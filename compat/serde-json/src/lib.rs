@@ -5,6 +5,11 @@
 //! literal objects/arrays with expression values. Printing is deterministic:
 //! object entries keep their order (struct fields as declared, map entries
 //! pre-sorted by the serializer), so equal values produce identical bytes.
+//!
+//! Like `serde_json`, the parser treats its input as hostile: nesting
+//! deeper than 128 is an error (not a stack overflow), a number
+//! that overflows to ±∞ is "number out of range", and `\u` escapes decode
+//! UTF-16 surrogate pairs while rejecting lone surrogates.
 
 pub use serde::Value;
 use serde::{DeError, Deserialize, Serialize};
@@ -163,9 +168,14 @@ fn write_pretty(v: &Value, indent: usize, out: &mut String) {
 
 // ── parser ───────────────────────────────────────────────────────────
 
+/// Deepest array/object nesting the parser accepts (`serde_json`'s
+/// recursion limit).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -199,8 +209,19 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("recursion limit exceeded"));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -313,20 +334,8 @@ impl<'a> Parser<'a> {
                         Some(b'r') => s.push('\r'),
                         Some(b't') => s.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
+                            let code = self.unicode_escape()?;
+                            s.push(code);
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -339,6 +348,42 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Four hex digits following the cursor (which sits on the `u` of a
+    /// `\u` escape); leaves the cursor on the last digit.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(hex.iter().fold(0, |acc, &h| {
+            acc * 16 + char::from(h).to_digit(16).unwrap_or(0)
+        }))
+    }
+
+    /// Decodes a `\u` escape, joining a UTF-16 surrogate pair
+    /// (`\ud83d\ude00` is one character) and rejecting lone surrogates.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let high = self.hex4()?;
+        let code = match high {
+            0xD800..=0xDBFF => {
+                if !self.bytes[self.pos + 1..].starts_with(b"\\u") {
+                    return Err(self.err("lone surrogate in \\u escape"));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(self.err("lone surrogate in \\u escape"));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("lone surrogate in \\u escape")),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))
     }
 
     fn parse_number(&mut self) -> Result<Value, Error> {
@@ -360,9 +405,11 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
         if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("invalid number"))
+            match text.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Value::Float(x)),
+                Ok(_) => Err(self.err("number out of range")),
+                Err(_) => Err(self.err("invalid number")),
+            }
         } else if let Ok(n) = text.parse::<i64>() {
             Ok(Value::Int(n))
         } else if let Ok(n) = text.parse::<u64>() {
@@ -377,6 +424,7 @@ fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -490,6 +538,51 @@ mod tests {
         let s = to_string_pretty(&v).unwrap();
         let back: Value = from_str(&s).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        // Far past the cap is still an error, not a stack overflow.
+        assert!(from_str::<Value>(&"[{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_join_surrogate_pairs() {
+        let v: String = from_str(r#""\ud83d\ude00 \u00e9\u0041""#).unwrap();
+        assert_eq!(v, "\u{1F600} \u{e9}A");
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+        ] {
+            let err = from_str::<String>(lone).unwrap_err();
+            assert!(err.to_string().contains("lone surrogate"), "{lone}: {err}");
+        }
+        assert!(
+            from_str::<String>(r#""\u+041""#).is_err(),
+            "hex digits only"
+        );
+    }
+
+    #[test]
+    fn overflowing_numbers_are_out_of_range() {
+        for text in ["1e999", "-1e999", "[0, 1.7976931348623159e308]"] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert!(
+                err.to_string().contains("number out of range"),
+                "{text}: {err}"
+            );
+        }
+        let v: f64 = from_str("1.7976931348623157e308").unwrap();
+        assert_eq!(v, f64::MAX);
     }
 
     #[test]

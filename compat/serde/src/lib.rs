@@ -169,13 +169,37 @@ pub trait Deserialize: Sized {
     fn from_json_value(v: &Value) -> Result<Self, DeError>;
 }
 
-/// Derive-macro helper: fetches a required struct field.
-pub fn __field<'a>(entries: &'a [(String, Value)], name: &str) -> Result<&'a Value, DeError> {
-    entries
+/// Derive-macro helper: fetches a struct field, `None` when absent. A key
+/// present twice is an error, as in `serde_json`.
+pub fn __field<'a>(
+    entries: &'a [(String, Value)],
+    name: &str,
+) -> Result<Option<&'a Value>, DeError> {
+    let mut hits = entries.iter().filter(|(k, _)| k == name).map(|(_, v)| v);
+    let first = hits.next();
+    match hits.next() {
+        Some(_) => Err(DeError(format!("duplicate field `{name}`"))),
+        None => Ok(first),
+    }
+}
+
+/// Derive-macro helper: a struct's object entries. With `deny_unknown`
+/// (`#[serde(deny_unknown_fields)]`), a key naming none of `fields` is an
+/// error.
+pub fn __object<'a>(
+    v: &'a Value,
+    what: &str,
+    fields: &[&str],
+    deny_unknown: bool,
+) -> Result<&'a [(String, Value)], DeError> {
+    let entries = v.expect_object(what)?;
+    match entries
         .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError(format!("missing field `{name}`")))
+        .find(|(k, _)| deny_unknown && !fields.contains(&k.as_str()))
+    {
+        Some((k, _)) => Err(DeError(format!("unknown key `{k}` for {what}"))),
+        None => Ok(entries),
+    }
 }
 
 // ── scalar impls ─────────────────────────────────────────────────────
@@ -243,7 +267,7 @@ macro_rules! impl_float {
                     Value::Int(n) => Ok(n as $t),
                     Value::UInt(n) => Ok(n as $t),
                     ref other => Err(DeError(format!(
-                        "expected number for {}, got {}", stringify!($t), other.kind()
+                        "expected finite number for {}, got {}", stringify!($t), other.kind()
                     ))),
                 }
             }

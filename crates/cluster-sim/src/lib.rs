@@ -55,7 +55,5 @@ pub use report::{
     StepKind, TaskTrace,
 };
 pub use tenant::{TenancyReport, Tenant, TenantSet};
-pub use trace::{
-    DurationHistogram, RunTrace, TraceConfig, TraceCounters, TraceEvent, TraceRecorder,
-};
+pub use trace::{RunTrace, TraceConfig, TraceCounters, TraceEvent, TraceRecorder};
 pub use trace_view::render_gantt;

@@ -29,9 +29,6 @@ use serde::{Deserialize, Serialize};
 /// Default ring-buffer capacity, events.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// Number of log2 buckets in the task-duration histogram.
-const HIST_BUCKETS: usize = 32;
-
 /// Trace knob carried by [`crate::RunOptions`]: whether to record, and how
 /// many events the ring buffer holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -243,57 +240,6 @@ impl TraceBuffer {
     }
 }
 
-/// Histogram of task durations in log2(µs) buckets: bucket `i` counts
-/// durations in `[2^i, 2^(i+1))` µs (bucket 0 additionally holds sub-µs
-/// tasks; the last bucket is open-ended).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DurationHistogram {
-    /// Bucket counts; index = `floor(log2(duration_us))`, clamped.
-    pub buckets: Vec<u64>,
-    /// Number of recorded durations.
-    pub count: u64,
-    /// Sum of recorded durations, µs.
-    pub total_us: u64,
-    /// Largest recorded duration, µs.
-    pub max_us: u64,
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        DurationHistogram {
-            buckets: vec![0; HIST_BUCKETS],
-            count: 0,
-            total_us: 0,
-            max_us: 0,
-        }
-    }
-}
-
-impl DurationHistogram {
-    /// Records one duration.
-    pub fn record(&mut self, duration_us: u64) {
-        let bucket = if duration_us == 0 {
-            0
-        } else {
-            (duration_us.ilog2() as usize).min(HIST_BUCKETS - 1)
-        };
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.total_us = self.total_us.saturating_add(duration_us);
-        self.max_us = self.max_us.max(duration_us);
-    }
-
-    /// Mean recorded duration, µs.
-    #[must_use]
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.count as f64
-        }
-    }
-}
-
 /// The structured trace of one run, attached to
 /// [`crate::RunReport::trace`] when [`TraceConfig::enabled`] is set.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -304,8 +250,8 @@ pub struct RunTrace {
     pub dropped_events: u64,
     /// Final cumulative counters.
     pub counters: TraceCounters,
-    /// Histogram of task durations.
-    pub task_durations: DurationHistogram,
+    /// Histogram of task durations, µs.
+    pub task_durations: obs::Log2Histogram,
 }
 
 impl RunTrace {
@@ -342,7 +288,7 @@ impl RunTrace {
             self.counters.evictions,
             self.counters.spills,
             self.counters.locality_fallbacks,
-            obs::fmt_duration_s(self.task_durations.mean_us() / 1e6),
+            obs::fmt_duration_s(self.task_durations.mean() / 1e6),
         )
     }
 
@@ -359,8 +305,8 @@ impl RunTrace {
         let _ = write!(
             out,
             "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,\
-             \"args\":{{\"name\":\"driver ({})\"}}}}",
-            escape_json(run_name)
+             \"args\":{{\"name\":{}}}}}",
+            serde_json::to_string(&format!("driver ({run_name})")).expect("strings serialize")
         );
         // Name the machine processes that actually appear.
         let mut max_machine: Option<u32> = None;
@@ -516,23 +462,12 @@ impl RunTrace {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec!['?'],
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Per-run recorder owned by the engine. All recording methods are no-ops
 /// when the config has tracing disabled — a single branch, no allocation.
 #[derive(Debug)]
 pub struct TraceRecorder {
     buf: Option<TraceBuffer>,
-    hist: DurationHistogram,
+    hist: obs::Log2Histogram,
 }
 
 impl TraceRecorder {
@@ -541,7 +476,7 @@ impl TraceRecorder {
     pub fn new(config: TraceConfig) -> Self {
         TraceRecorder {
             buf: config.enabled.then(|| TraceBuffer::new(config.capacity)),
-            hist: DurationHistogram::default(),
+            hist: obs::Log2Histogram::default(),
         }
     }
 
@@ -713,22 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_log2() {
-        let mut h = DurationHistogram::default();
-        h.record(0); // bucket 0
-        h.record(1); // bucket 0
-        h.record(2); // bucket 1
-        h.record(1024); // bucket 10
-        h.record(u64::MAX); // clamped to last bucket
-        assert_eq!(h.buckets[0], 2);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[10], 1);
-        assert_eq!(h.buckets[31], 1);
-        assert_eq!(h.count, 5);
-        assert_eq!(h.max_us, u64::MAX);
-    }
-
-    #[test]
     fn chrome_export_is_valid_json_with_expected_shape() {
         let mut r = TraceRecorder::new(TraceConfig::enabled());
         r.task_span(0, 0, 0, 1, 2, 0.0, 0.5, true, false);
@@ -761,6 +680,20 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\\\"test\\\""), "run name escaped");
+    }
+
+    #[test]
+    fn chrome_export_keeps_control_characters_in_names() {
+        let mut r = TraceRecorder::new(TraceConfig::enabled());
+        r.job_span(0, 0.0, 1.0);
+        let trace = r.finish(TraceCounters::default()).unwrap();
+        let json = trace.to_chrome_json("tab\there\u{1}");
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(
+            parsed["traceEvents"][0]["args"]["name"],
+            serde_json::Value::Str("driver (tab\there\u{1})".to_owned()),
+            "{json}"
+        );
     }
 
     #[test]

@@ -74,6 +74,7 @@ pub use recommend::{CostModel, MachineMinutes, Recommendation, RecommendationMen
 pub use summary::model_card;
 pub use tenants::{
     run_tenants, workload_by_name, TenantSpec, TenantsOutcome, TenantsSpec, DRILL_RAM_BYTES,
+    MAX_SPEC_MACHINES,
 };
 pub use time_model::TimeModel;
 pub use transfer::{select_probes, InstanceCatalog, InstanceType, TransferModel};

@@ -548,18 +548,16 @@ fn err_stats(series: &[(i64, usize)]) -> (i64, i64, i64, i64) {
     if series.is_empty() {
         return (-1, -1, -1, -1);
     }
+    // The mean is over the signed series; the histogram sees it clamped at 0.
     let mut sum = 0i128;
-    let mut buckets = vec![0u64; obs::HIST_BUCKETS];
+    let mut hist = obs::Log2Histogram::default();
     for &(x, _) in series {
         sum += i128::from(x);
-        let v = u64::try_from(x.max(0)).unwrap_or(0);
-        let bucket = if v == 0 { 0 } else { v.ilog2() as usize };
-        buckets[bucket] += 1;
+        hist.record(u64::try_from(x).unwrap_or(0));
     }
-    let count = series.len() as u64;
-    let mean = i64::try_from(sum / i128::from(count)).unwrap_or(i64::MAX);
+    let mean = i64::try_from(sum / i128::from(hist.count)).unwrap_or(i64::MAX);
     let q = |num: u64| {
-        obs::log2_quantile(&buckets, count, num, 100)
+        hist.quantile(num, 100)
             .and_then(|v| i64::try_from(v).ok())
             .unwrap_or(-1)
     };

@@ -26,7 +26,7 @@
 //! which detector, refit advice) lives in `juggler-core::watchtower` —
 //! obs only knows streams, budgets, and verdicts.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Fixed-point scale: `1.0` (100 % relative error) in micro-units.
 pub const MICRO: i64 = 1_000_000;
@@ -282,6 +282,7 @@ impl EwmaBand {
 /// [`SloSpec::from_json`]; every field has a default so a spec file only
 /// states what it tightens.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct SloSpec {
     /// Per-run and window-mean ceiling on the mean relative
     /// time-prediction error (fraction; a run above it *breaches*).
@@ -318,37 +319,8 @@ impl SloSpec {
     /// are an error (a typoed budget must not silently loosen to the
     /// default), wrong kinds are an error, absent keys keep defaults.
     pub fn from_json(raw: &str) -> Result<Self, String> {
-        let doc: Value = serde_json::from_str(raw).map_err(|e| format!("slo spec: {e}"))?;
-        let Value::Object(fields) = &doc else {
-            return Err("slo spec: expected a JSON object".into());
-        };
-        let mut slo = SloSpec::default();
-        for (key, value) in fields {
-            let num = || -> Result<f64, String> {
-                match value {
-                    Value::Int(n) => Ok(*n as f64),
-                    Value::UInt(n) => Ok(*n as f64),
-                    Value::Float(x) if x.is_finite() => Ok(*x),
-                    _ => Err(format!("slo spec: `{key}` must be a finite number")),
-                }
-            };
-            match key.as_str() {
-                "max_mean_time_rel_error" => slo.max_mean_time_rel_error = num()?,
-                "max_p95_time_rel_error" => slo.max_p95_time_rel_error = num()?,
-                "max_mean_size_rel_error" => slo.max_mean_size_rel_error = num()?,
-                "max_consecutive_breaches" => {
-                    let n = num()?;
-                    if n < 0.0 || n.fract() != 0.0 {
-                        return Err(format!("slo spec: `{key}` must be a non-negative integer"));
-                    }
-                    slo.max_consecutive_breaches = n as u32;
-                }
-                "budget_breach_fraction" => slo.budget_breach_fraction = num()?,
-                "warn_burn_rate" => slo.warn_burn_rate = num()?,
-                other => return Err(format!("slo spec: unknown key `{other}`")),
-            }
-        }
-        // num() already rejected non-finite values, so <= is exhaustive.
+        let slo: SloSpec = serde_json::from_str(raw).map_err(|e| format!("slo spec: {e}"))?;
+        // The parser admits no non-finite number, so <= is exhaustive.
         if slo.budget_breach_fraction <= 0.0 {
             return Err("slo spec: `budget_breach_fraction` must be positive".into());
         }
@@ -577,6 +549,17 @@ mod tests {
         assert!(err.contains("positive"), "{err}");
         let err = SloSpec::from_json(r#"{"max_consecutive_breaches": 2.5}"#).unwrap_err();
         assert!(err.contains("integer"), "{err}");
+    }
+
+    #[test]
+    fn slo_rejects_duplicates_and_overflow() {
+        let err =
+            SloSpec::from_json(r#"{"warn_burn_rate": 0.5, "warn_burn_rate": 0.9}"#).unwrap_err();
+        assert!(err.contains("duplicate field `warn_burn_rate`"), "{err}");
+        let err = SloSpec::from_json(r#"{"warn_burn_rate": 1e999}"#).unwrap_err();
+        assert!(err.contains("number out of range"), "{err}");
+        let err = SloSpec::from_json(r#"{"max_consecutive_breaches": -1}"#).unwrap_err();
+        assert!(err.contains("out of range for u32"), "{err}");
     }
 
     #[test]

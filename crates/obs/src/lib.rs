@@ -63,6 +63,6 @@ pub use perf::{
     CheckOutcome, PerfReport,
 };
 pub use registry::{
-    global, log2_quantile, Counter, Gauge, Histogram, Metric, MetricClass, MetricKind, MetricValue,
-    Registry, Snapshot, HIST_BUCKETS,
+    global, log2_quantile, Counter, Gauge, Histogram, Log2Histogram, Metric, MetricClass,
+    MetricKind, MetricValue, Registry, Snapshot, HIST_BUCKETS,
 };

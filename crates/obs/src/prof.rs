@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::format::{fmt_duration_s, fmt_percent};
@@ -236,7 +237,7 @@ fn build_node(name: &str, m: &MergedNode) -> ProfileNode {
         calls: m.calls,
         total_ns,
         self_ns: total_ns - child_sum,
-        counters: m.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+        counters: m.counters.clone(),
         children,
     }
 }
@@ -381,8 +382,9 @@ impl ForkCtx {
 // ── the exported profile ─────────────────────────────────────────────
 
 /// One node of an exported profile: aggregated calls, total/self wall
-/// time, counter deltas, and name-sorted children.
-#[derive(Debug, Clone, PartialEq)]
+/// time, counter deltas, and name-sorted children. Its derived JSON form
+/// is the canonical one the profile ledger stores.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileNode {
     /// Phase name (one path segment).
     pub name: String,
@@ -395,7 +397,7 @@ pub struct ProfileNode {
     /// Total minus children — the flamegraph weight.
     pub self_ns: u64,
     /// Counter deltas attributed to this node, key-sorted.
-    pub counters: Vec<(String, u64)>,
+    pub counters: BTreeMap<String, u64>,
     /// Child phases, name-sorted.
     pub children: Vec<ProfileNode>,
 }
@@ -471,10 +473,7 @@ impl Profile {
     pub fn to_json_value(&self) -> Value {
         Value::Object(vec![
             ("version".to_owned(), Value::Int(1)),
-            (
-                "roots".to_owned(),
-                Value::Array(self.roots.iter().map(node_to_json).collect()),
-            ),
+            ("roots".to_owned(), self.roots.to_json_value()),
         ])
     }
 
@@ -489,16 +488,9 @@ impl Profile {
     /// # Errors
     /// Returns a message naming the first malformed field.
     pub fn from_json_value(v: &Value) -> Result<Profile, String> {
-        let roots = v
-            .get("roots")
-            .ok_or("profile JSON missing `roots`")?
-            .expect_array("roots")
-            .map_err(|e| e.to_string())?;
+        let roots = v.get("roots").ok_or("profile JSON missing `roots`")?;
         Ok(Profile {
-            roots: roots
-                .iter()
-                .map(node_from_json)
-                .collect::<Result<Vec<_>, String>>()?,
+            roots: Deserialize::from_json_value(roots).map_err(|e| e.to_string())?,
         })
     }
 
@@ -578,69 +570,6 @@ fn collect_stacks(node: &ProfileNode, frames: &mut Vec<String>, out: &mut Vec<(V
         collect_stacks(child, frames, out);
     }
     frames.pop();
-}
-
-fn node_to_json(node: &ProfileNode) -> Value {
-    Value::Object(vec![
-        ("name".to_owned(), Value::Str(node.name.clone())),
-        ("calls".to_owned(), Value::UInt(node.calls)),
-        ("total_ns".to_owned(), Value::UInt(node.total_ns)),
-        ("self_ns".to_owned(), Value::UInt(node.self_ns)),
-        (
-            "counters".to_owned(),
-            Value::Object(
-                node.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "children".to_owned(),
-            Value::Array(node.children.iter().map(node_to_json).collect()),
-        ),
-    ])
-}
-
-fn json_u64(v: &Value, what: &str) -> Result<u64, String> {
-    match v {
-        Value::Int(n) if *n >= 0 => Ok(*n as u64),
-        Value::UInt(n) => Ok(*n),
-        Value::Float(x) if *x >= 0.0 && x.fract() == 0.0 => Ok(*x as u64),
-        other => Err(format!(
-            "expected unsigned integer for {what}, got {other:?}"
-        )),
-    }
-}
-
-fn node_from_json(v: &Value) -> Result<ProfileNode, String> {
-    let name = match v.get("name") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => return Err("profile node missing string `name`".to_owned()),
-    };
-    let calls = json_u64(v.get("calls").unwrap_or(&Value::Int(0)), "calls")?;
-    let total_ns = json_u64(v.get("total_ns").unwrap_or(&Value::Int(0)), "total_ns")?;
-    let self_ns = json_u64(v.get("self_ns").unwrap_or(&Value::Int(0)), "self_ns")?;
-    let mut counters = Vec::new();
-    if let Some(c) = v.get("counters") {
-        for (k, cv) in c.expect_object("counters").map_err(|e| e.to_string())? {
-            counters.push((k.clone(), json_u64(cv, k)?));
-        }
-    }
-    let mut children = Vec::new();
-    if let Some(c) = v.get("children") {
-        for cv in c.expect_array("children").map_err(|e| e.to_string())? {
-            children.push(node_from_json(cv)?);
-        }
-    }
-    Ok(ProfileNode {
-        name,
-        calls,
-        total_ns,
-        self_ns,
-        counters,
-        children,
-    })
 }
 
 fn push_structure(node: &ProfileNode, out: &mut String) {
@@ -878,7 +807,7 @@ mod tests {
         assert_eq!(train.children.len(), 1);
         let fit = &train.children[0];
         assert_eq!((fit.name.as_str(), fit.calls), ("fit", 3));
-        assert_eq!(fit.counters, vec![("iters".to_owned(), 6)]);
+        assert_eq!(fit.counters, BTreeMap::from([("iters".to_owned(), 6)]));
         assert!(train.total_ns >= fit.total_ns);
         assert_eq!(train.self_ns, train.total_ns - fit.total_ns);
     }
@@ -920,7 +849,7 @@ mod tests {
         assert_eq!(stage2.calls, 1, "attach adds no calls to the parent");
         let sim = &stage2.children[0];
         assert_eq!((sim.name.as_str(), sim.calls), ("sim", 2));
-        assert_eq!(sim.counters, vec![("tasks".to_owned(), 10)]);
+        assert_eq!(sim.counters, BTreeMap::from([("tasks".to_owned(), 10)]));
     }
 
     #[test]
@@ -931,7 +860,7 @@ mod tests {
                 calls: 2,
                 total_ns: ns,
                 self_ns: ns,
-                counters: vec![("c".into(), 7)],
+                counters: BTreeMap::from([("c".into(), 7)]),
                 children: vec![],
             }],
         };
@@ -972,13 +901,13 @@ mod tests {
                 calls: 1,
                 total_ns: 10,
                 self_ns: 4,
-                counters: vec![],
+                counters: BTreeMap::new(),
                 children: vec![ProfileNode {
                     name: "leaf".into(),
                     calls: 1,
                     total_ns: 6,
                     self_ns: 6,
-                    counters: vec![],
+                    counters: BTreeMap::new(),
                     children: vec![],
                 }],
             }],
@@ -994,7 +923,7 @@ mod tests {
                 calls: 1,
                 total_ns: total,
                 self_ns: total,
-                counters: vec![],
+                counters: BTreeMap::new(),
                 children: vec![],
             }];
             if extra {
@@ -1003,7 +932,7 @@ mod tests {
                     calls: 1,
                     total_ns: 1,
                     self_ns: 1,
-                    counters: vec![],
+                    counters: BTreeMap::new(),
                     children: vec![],
                 });
             }

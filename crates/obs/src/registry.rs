@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 
 /// Number of log2 buckets in a registry histogram; bucket `i` counts
 /// values in `[2^i, 2^(i+1))` (bucket 0 additionally holds zero), which
@@ -104,12 +105,7 @@ impl HistogramCell {
     }
 
     fn record(&self, value: u64) {
-        let bucket = if value == 0 {
-            0
-        } else {
-            value.ilog2() as usize
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Log2Histogram::bucket(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
@@ -122,6 +118,74 @@ impl HistogramCell {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> Log2Histogram {
+        let mut buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        buckets.truncate(buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1));
+        Log2Histogram {
+            buckets,
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A plain (single-owner) log2 histogram value: bucket `i` counts values
+/// in `[2^i, 2^(i+1))`, bucket 0 additionally holds zero. `buckets` only
+/// reaches the highest non-empty bucket, so equal distributions compare
+/// and serialize equal. The registry's atomic histograms snapshot into
+/// this type; the simulator's task-duration trace records into it
+/// directly.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Log2Histogram {
+    /// Per-bucket counts, trimmed after the highest non-empty bucket.
+    pub buckets: Vec<u64>,
+    /// Total observations.
+    pub count: u64,
+    /// Sum of observed values (wrapping on overflow).
+    pub sum: u64,
+    /// Largest observed value.
+    pub max: u64,
+}
+
+impl Log2Histogram {
+    /// The bucket `value` falls in: `floor(log2(value))`, 0 for zero.
+    fn bucket(value: u64) -> usize {
+        value.checked_ilog2().unwrap_or(0) as usize
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, value: u64) {
+        let bucket = Self::bucket(value);
+        if self.buckets.len() <= bucket {
+            self.buckets.resize(bucket + 1, 0);
+        }
+        self.buckets[bucket] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Mean observation (0.0 when empty).
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Upper-bound quantile estimate (see [`log2_quantile`]).
+    #[must_use]
+    pub fn quantile(&self, q_num: u64, q_den: u64) -> Option<u64> {
+        log2_quantile(&self.buckets, self.count, q_num, q_den)
     }
 }
 
@@ -369,20 +433,7 @@ impl Registry {
                 Cell::Gauge(g) => {
                     MetricValue::Gauge(f64::from_bits(g.bits.load(Ordering::Relaxed)))
                 }
-                Cell::Histogram(h) => {
-                    let buckets: Vec<u64> = h
-                        .buckets
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect();
-                    let trim = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-                    MetricValue::Histogram {
-                        buckets: buckets[..trim].to_vec(),
-                        count: h.count.load(Ordering::Relaxed),
-                        sum: h.sum.load(Ordering::Relaxed),
-                        max: h.max.load(Ordering::Relaxed),
-                    }
-                }
+                Cell::Histogram(h) => MetricValue::Histogram(h.snapshot()),
             };
             out.push(Metric {
                 name: name.clone(),
@@ -467,18 +518,8 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge value.
     Gauge(f64),
-    /// Histogram state; `buckets` is trimmed after the highest non-zero
-    /// bucket (bucket `i` counts values in `[2^i, 2^(i+1))`).
-    Histogram {
-        /// Per-bucket counts, trimmed.
-        buckets: Vec<u64>,
-        /// Total observations.
-        count: u64,
-        /// Sum of observed values (wrapping on overflow).
-        sum: u64,
-        /// Largest observed value.
-        max: u64,
-    },
+    /// Histogram state.
+    Histogram(Log2Histogram),
 }
 
 impl MetricValue {
@@ -488,9 +529,7 @@ impl MetricValue {
     #[must_use]
     pub fn quantile_upper_bound(&self, q_num: u64, q_den: u64) -> Option<u64> {
         match self {
-            MetricValue::Histogram { buckets, count, .. } => {
-                log2_quantile(buckets, *count, q_num, q_den)
-            }
+            MetricValue::Histogram(h) => h.quantile(q_num, q_den),
             _ => None,
         }
     }
@@ -537,12 +576,12 @@ impl Snapshot {
                     let _ = writeln!(out, "# TYPE {} gauge", m.name);
                     let _ = writeln!(out, "{} {}", m.name, fmt_prom_float(*v));
                 }
-                MetricValue::Histogram {
+                MetricValue::Histogram(Log2Histogram {
                     buckets,
                     count,
                     sum,
                     ..
-                } => {
+                }) => {
                     let _ = writeln!(out, "# TYPE {} histogram", m.name);
                     let mut cumulative = 0u64;
                     for (i, b) in buckets.iter().enumerate() {
@@ -574,15 +613,16 @@ impl Snapshot {
             let kind = match &m.value {
                 MetricValue::Counter(_) => MetricKind::Counter,
                 MetricValue::Gauge(_) => MetricKind::Gauge,
-                MetricValue::Histogram { .. } => MetricKind::Histogram,
+                MetricValue::Histogram(_) => MetricKind::Histogram,
             };
+            let json_str = |s: &String| serde_json::to_string(s).expect("strings serialize");
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"class\":\"{}\",\"help\":\"{}\"",
-                escape_json(&m.name),
+                "{{\"name\":{},\"kind\":\"{}\",\"class\":\"{}\",\"help\":{}",
+                json_str(&m.name),
                 kind.label(),
                 m.class.label(),
-                escape_json(&m.help)
+                json_str(&m.help)
             );
             match &m.value {
                 MetricValue::Counter(v) => {
@@ -595,15 +635,16 @@ impl Snapshot {
                         out.push_str(",\"value\":null");
                     }
                 }
-                MetricValue::Histogram {
-                    buckets,
-                    count,
-                    sum,
-                    max,
-                } => {
+                MetricValue::Histogram(h) => {
+                    let Log2Histogram {
+                        buckets,
+                        count,
+                        sum,
+                        max,
+                    } = h;
                     let _ = write!(out, ",\"count\":{count},\"sum\":{sum},\"max\":{max}");
                     for (label, q_num) in [("p50", 50), ("p95", 95), ("p99", 99)] {
-                        match log2_quantile(buckets, *count, q_num, 100) {
+                        match h.quantile(q_num, 100) {
                             Some(v) => {
                                 let _ = write!(out, ",\"{label}\":{v}");
                             }
@@ -645,21 +686,6 @@ fn fmt_prom_float(v: f64) -> String {
 
 fn escape_prom_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c.is_control() => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -717,12 +743,12 @@ mod tests {
         h.record(1024); // bucket 10
         let snap = reg.snapshot(false);
         match &snap.get("dur_us").expect("present").value {
-            MetricValue::Histogram {
+            MetricValue::Histogram(Log2Histogram {
                 buckets,
                 count,
                 sum,
                 max,
-            } => {
+            }) => {
                 assert_eq!(buckets.len(), 11, "trimmed after highest non-zero");
                 assert_eq!(buckets[0], 2);
                 assert_eq!(buckets[1], 1);
@@ -733,6 +759,54 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn log2_histogram_value_records_trims_and_summarizes() {
+        let mut h = Log2Histogram::default();
+        assert_eq!((h.mean(), h.quantile(50, 100)), (0.0, None));
+        for v in [0, 1, 2, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.buckets.len(), 11, "trimmed after highest non-zero");
+        assert_eq!((h.buckets[0], h.buckets[1], h.buckets[10]), (2, 1, 1));
+        assert_eq!((h.count, h.sum, h.max), (4, 1027, 1024));
+        assert_eq!(h.mean(), 1027.0 / 4.0);
+        assert_eq!(h.quantile(50, 100), Some(1));
+        assert_eq!(h.quantile(100, 100), Some(2047));
+        h.record(u64::MAX);
+        assert_eq!(
+            h.buckets.len(),
+            HIST_BUCKETS,
+            "the top value lands in the last bucket"
+        );
+        // The registry's atomic cell snapshots into the same value.
+        let reg = Registry::new(true);
+        let cell = reg.histogram("h", "h");
+        for v in [0, 1, 2, 1024, u64::MAX] {
+            cell.record(v);
+        }
+        assert_eq!(
+            reg.snapshot(false).get("h").unwrap().value,
+            MetricValue::Histogram(h)
+        );
+    }
+
+    #[test]
+    fn json_export_keeps_control_characters_in_names() {
+        let reg = Registry::new(true);
+        reg.counter("odd\u{1}name", "line one\nline two").inc();
+        let json = reg.snapshot(false).to_json();
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let metric = &parsed["metrics"][0];
+        assert_eq!(
+            metric["name"],
+            serde_json::Value::Str("odd\u{1}name".to_owned())
+        );
+        assert_eq!(
+            metric["help"],
+            serde_json::Value::Str("line one\nline two".to_owned())
+        );
     }
 
     #[test]

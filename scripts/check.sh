@@ -14,6 +14,9 @@ cargo build --release --offline
 echo "== tests (workspace) =="
 cargo test -q --offline --workspace
 
+echo "== malformed inputs (release profile, whose panic=abort is what users run: bad input files exit 1 with an error) =="
+cargo test -q --offline --release --test malformed_inputs
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

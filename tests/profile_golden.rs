@@ -62,3 +62,31 @@ fn structure_tree_matches_golden_file() {
         golden_path().display()
     );
 }
+
+/// The stored profiles under `results/` (a bench record and its baseline)
+/// decode and re-encode to exactly the bytes they were written as — the
+/// derived `ProfileNode` codec is the canonical form, so ledger ids of
+/// stored profiles never move.
+#[test]
+fn stored_profiles_reencode_byte_for_byte() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    for (file, pointer) in [
+        ("BENCH_sim_throughput.json", &["profile"][..]),
+        (
+            "baselines/BENCH_sim_throughput.json",
+            &["baseline", "profile"][..],
+        ),
+    ] {
+        let raw = std::fs::read_to_string(root.join(file)).expect("stored bench record");
+        let doc: serde_json::Value = serde_json::from_str(&raw).expect("valid JSON");
+        let stored = pointer.iter().fold(&doc, |v, key| &v[*key]);
+        let profile = juggler_suite::obs::prof::Profile::from_json_value(stored)
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert!(!profile.is_empty(), "{file}: empty profile");
+        assert_eq!(
+            profile.to_json(),
+            serde_json::to_string(stored).unwrap(),
+            "{file}: profile JSON drifted"
+        );
+    }
+}
