@@ -10,11 +10,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dagflow::{
-    Application, DagError, DatasetId, JobId, LineageAnalysis, Schedule, ScheduleOp, StagePlan,
-};
+use dagflow::{Application, DagError, DatasetId, JobId, Schedule, ScheduleOp, StagePlan};
 
 use crate::config::{ClusterConfig, SimParams};
+use crate::eviction::DatasetHints;
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::{ChaosState, FaultSummary};
 use crate::memory::{BlockLayout, BlockStore};
@@ -212,14 +211,7 @@ impl EnginePrep {
     /// Precomputes the schedule-independent run state of an application.
     #[must_use]
     pub fn new(app: &Application) -> Self {
-        let la = LineageAnalysis::new(app);
-        let job_uses: Vec<Vec<usize>> = (0..app.dataset_count() as u32)
-            .map(|d| {
-                (0..app.jobs().len())
-                    .filter(|&j| la.in_job(DatasetId(d), JobId(j as u32)))
-                    .collect()
-            })
-            .collect();
+        let job_uses = job_uses(app);
         let plans: Vec<StagePlan> = (0..app.jobs().len())
             .map(|ji| StagePlan::build(app, JobId(ji as u32)))
             .collect();
@@ -259,6 +251,40 @@ impl EnginePrep {
     #[must_use]
     pub fn plans(&self) -> &[StagePlan] {
         &self.plans
+    }
+}
+
+/// `uses[d]` — the jobs whose DAG contains dataset `d` (the ancestor
+/// closure of the job's target, target included), ascending. One stamped
+/// walk per job visits each member once, so the cost is the summed job
+/// sizes rather than datasets × jobs.
+fn job_uses(app: &Application) -> Vec<Vec<usize>> {
+    let mut uses = vec![Vec::new(); app.dataset_count()];
+    // `stamp[d] == ji + 1` once job `ji`'s walk has visited `d`.
+    let mut stamp = vec![0usize; app.dataset_count()];
+    let mut stack = Vec::new();
+    for (ji, job) in app.jobs().iter().enumerate() {
+        stack.push(job.target);
+        while let Some(d) = stack.pop() {
+            if stamp[d.index()] == ji + 1 {
+                continue;
+            }
+            stamp[d.index()] = ji + 1;
+            uses[d.index()].push(ji);
+            stack.extend_from_slice(&app.dataset(d).parents);
+        }
+    }
+    uses
+}
+
+/// The DAG-aware eviction hints of a dataset at the start of job `ji`:
+/// how many of its (ascending) job uses remain, and how many jobs away the
+/// next one is (`u32::MAX` when none).
+pub(crate) fn job_hints(uses: &[usize], ji: usize) -> DatasetHints {
+    let k = uses.partition_point(|&u| u < ji);
+    DatasetHints {
+        remaining_refs: (uses.len() - k) as u64,
+        next_use_distance: uses.get(k).map_or(u32::MAX, |&u| (u - ji) as u32),
     }
 }
 
@@ -447,18 +473,7 @@ impl<'a> Engine<'a> {
             // dataset (the only possible victims) gets rewritten each job,
             // so stale hints cannot leak across jobs.
             for &(d, uses) in &job_uses {
-                let remaining = uses.iter().filter(|&&u| u >= ji).count() as u64;
-                let next = uses
-                    .iter()
-                    .find(|&&u| u >= ji)
-                    .map_or(u32::MAX, |&u| (u - ji) as u32);
-                store.set_hint(
-                    d,
-                    crate::eviction::DatasetHints {
-                        remaining_refs: remaining,
-                        next_use_distance: next,
-                    },
-                );
+                store.set_hint(d, job_hints(uses, ji));
             }
             // Per-job hit/miss snapshot of the persisted datasets, aligned
             // with `job_uses` (untouched datasets read as zero, matching
@@ -1044,5 +1059,107 @@ mod tests {
         // Task counts: cold runs map+reduce stages each job; hot runs the
         // map stage only in job 0.
         assert!(hot.total_tasks < cold.total_tasks);
+    }
+
+    /// Shared ancestors and a diamond, a dataset in no job, two jobs with
+    /// one target, and a job whose target is a source.
+    fn job_use_fixture() -> Application {
+        let mut b = AppBuilder::new("uses");
+        let src = b.source("in", SourceFormat::DistributedFs, 100, 1_000_000, 4);
+        let side = b.source("side", SourceFormat::DistributedFs, 100, 1_000_000, 4);
+        let a = b.narrow(
+            "a",
+            NarrowKind::Map,
+            &[src],
+            100,
+            1_000_000,
+            ComputeCost::FREE,
+        );
+        let left = b.narrow(
+            "l",
+            NarrowKind::Map,
+            &[a],
+            100,
+            1_000_000,
+            ComputeCost::FREE,
+        );
+        let right = b.narrow(
+            "r",
+            NarrowKind::Filter,
+            &[a],
+            100,
+            1_000_000,
+            ComputeCost::FREE,
+        );
+        let zip = b.narrow(
+            "zip",
+            NarrowKind::Zip,
+            &[left, right],
+            100,
+            1_000_000,
+            ComputeCost::FREE,
+        );
+        b.narrow(
+            "orphan",
+            NarrowKind::Map,
+            &[src],
+            100,
+            1_000_000,
+            ComputeCost::FREE,
+        );
+        let agg = b.wide(
+            "agg",
+            WideKind::ReduceByKey,
+            &[zip, side],
+            10,
+            10_000,
+            ComputeCost::FREE,
+        );
+        b.job("left", left);
+        b.job("zip", zip);
+        b.job("zip again", zip);
+        b.job("side", side);
+        b.job("agg", agg);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn job_uses_match_the_lineage_membership() {
+        for app in [job_use_fixture(), iterative_app(4)] {
+            let la = dagflow::LineageAnalysis::new(&app);
+            let want: Vec<Vec<usize>> = (0..app.dataset_count() as u32)
+                .map(|d| {
+                    (0..app.jobs().len())
+                        .filter(|&j| la.in_job(DatasetId(d), JobId(j as u32)))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(job_uses(&app), want, "{}", app.name());
+        }
+        // Spot checks on the fixture: the orphan is in no job, the shared
+        // ancestor in every job but the source-target one.
+        let uses = job_uses(&job_use_fixture());
+        assert_eq!(uses[6], Vec::<usize>::new(), "orphan");
+        assert_eq!(uses[2], vec![0, 1, 2, 4], "shared ancestor `a`");
+        assert_eq!(uses[1], vec![3, 4], "source target `side`");
+    }
+
+    #[test]
+    fn job_hints_match_the_linear_scans() {
+        for uses in [vec![], vec![0], vec![2], vec![0, 1, 2, 4], vec![1, 3, 7]] {
+            for ji in 0..9 {
+                let remaining = uses.iter().filter(|&&u| u >= ji).count() as u64;
+                let next = uses
+                    .iter()
+                    .find(|&&u| u >= ji)
+                    .map_or(u32::MAX, |&u| (u - ji) as u32);
+                let h = job_hints(&uses, ji);
+                assert_eq!(
+                    (h.remaining_refs, h.next_use_distance),
+                    (remaining, next),
+                    "uses {uses:?} at job {ji}"
+                );
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::fault::ChaosState;
 use crate::memory::BlockStore;
 use crate::report::TaskTrace;
 use crate::rng::TaskNoise;
-use crate::task::{walk_task, ConsumerCost, TaskEnv};
+use crate::task::{StageWalk, TaskEnv};
 use crate::trace::TraceRecorder;
 
 /// How long a task will wait for its preferred (cache-local) machine before
@@ -138,12 +138,11 @@ pub struct ExecutorState {
     /// Scratch wave bookkeeping for the structured trace, cleared at every
     /// stage start (reused for the same reason as `spec_durations`).
     waves: Vec<(f64, f64, u32)>,
-    /// Per-stage hoisted shuffle-write costs, taken out of the state for
-    /// the duration of a stage (`mem::take`) and put back afterwards so
-    /// the allocation is reused across the hundreds of stages of a run.
-    consumer_costs: Vec<ConsumerCost>,
-    /// Per-stage persisted-dataset preference list, reused like
-    /// `consumer_costs`.
+    /// The stage's compiled task walk, taken out of the state for the
+    /// duration of a stage (`mem::take`) and put back afterwards so its
+    /// buffers are reused across the hundreds of stages of a run.
+    walk: StageWalk,
+    /// Per-stage persisted-dataset preference list, reused like `walk`.
     pref_datasets: Vec<DatasetId>,
 }
 
@@ -168,7 +167,7 @@ impl ExecutorState {
             slot_wait_s: 0.0,
             spec_durations: RunningMedian::default(),
             waves: Vec::new(),
-            consumer_costs: Vec::new(),
+            walk: StageWalk::default(),
             pref_datasets: Vec::new(),
         }
     }
@@ -375,25 +374,13 @@ pub fn run_stage(
         / f64::from(env.cluster.spec.cores.max(1))) as u64;
 
     // Hoist the partition-independent work out of the task loop: the
-    // shuffle-write cost terms and the stage's persisted datasets
+    // compiled task walk and the stage's persisted datasets
     // (deepest-first, the locality-preference scan order). The buffers
     // live in `ExecutorState` and are taken for the stage's duration so
     // their allocations survive across stages; they are restored before
     // returning.
-    let mut consumer_costs = std::mem::take(&mut state.consumer_costs);
-    consumer_costs.clear();
-    consumer_costs.extend(
-        shuffle_consumers
-            .iter()
-            .map(|&w| ConsumerCost::build(env, stage.output, w)),
-    );
-    // A traced task records about one step per stage dataset plus one per
-    // shuffle write.
-    let steps_hint = if env.trace {
-        stage.datasets.len() + consumer_costs.len()
-    } else {
-        0
-    };
+    let mut stage_walk = std::mem::take(&mut state.walk);
+    stage_walk.compile(env, stage.output, shuffle_consumers);
     let mut pref_datasets = std::mem::take(&mut state.pref_datasets);
     pref_datasets.clear();
     pref_datasets.extend(
@@ -442,15 +429,7 @@ pub fn run_stage(
             state.expire_claims(store, machine, start);
             let claimed = store.claim_exec(machine, exec_bytes);
 
-            let walk = walk_task(
-                env,
-                store,
-                machine,
-                stage.output,
-                task_idx,
-                &consumer_costs,
-                steps_hint,
-            );
+            let walk = stage_walk.run(env, store, machine, task_idx);
             let (noise_factor, is_straggler) = state.noise.sample();
             // GC pauses and slow containers have an absolute magnitude: a
             // straggler never finishes faster than the floor, no matter how
@@ -522,15 +501,7 @@ pub fn run_stage(
                     let cstart = cfree.max(detect_at);
                     state.expire_claims(store, cmachine, cstart);
                     let cclaimed = store.claim_exec(cmachine, exec_bytes);
-                    let cwalk = walk_task(
-                        env,
-                        store,
-                        cmachine,
-                        stage.output,
-                        task_idx,
-                        &consumer_costs,
-                        steps_hint,
-                    );
+                    let cwalk = stage_walk.run(env, store, cmachine, task_idx);
                     let (cnoise, cstraggler) = state.noise.sample();
                     let mut cduration = cwalk.duration * cnoise;
                     if cstraggler {
@@ -631,7 +602,7 @@ pub fn run_stage(
         state.expire_claims(store, m, stage_finish);
     }
     // Hand the hoisted-scratch allocations back for the next stage.
-    state.consumer_costs = consumer_costs;
+    state.walk = stage_walk;
     state.pref_datasets = pref_datasets;
     stage_finish
 }

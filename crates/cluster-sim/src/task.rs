@@ -14,6 +14,10 @@
 //! cache it, honouring the `u(X) … p(Y)` partition swap of schedules.
 //! Like Spark, the walk does not memoize within a task: a dataset reachable
 //! via two in-stage paths is computed twice.
+//!
+//! Every task of a stage walks the same tree, so `StageWalk` compiles
+//! the recursion once per stage into a flat pre-order op list and each
+//! task runs that list against the block store (DESIGN.md §13).
 
 use std::collections::HashMap;
 
@@ -151,9 +155,7 @@ impl TaskWalk {
 /// the per-task computation produced (same expressions, same inputs), so
 /// task durations are bit-identical; only the per-task divisions go away.
 #[derive(Debug, Clone, Copy)]
-pub struct ConsumerCost {
-    /// The consuming wide dataset.
-    wide: DatasetId,
+struct ConsumerCost {
     /// Bytes this map task writes (`shuffled bytes / map tasks`).
     written: f64,
     /// Seconds spent writing (`written / disk_bandwidth`).
@@ -167,14 +169,12 @@ pub struct ConsumerCost {
 impl ConsumerCost {
     /// Precomputes the shuffle-write terms for one `(producing stage
     /// output, consuming wide)` pair.
-    #[must_use]
-    pub fn build(env: &TaskEnv<'_>, output: DatasetId, wide: DatasetId) -> Self {
+    fn build(env: &TaskEnv<'_>, output: DatasetId, wide: DatasetId) -> Self {
         let w = env.app.dataset(wide);
         let map_tasks = f64::from(env.app.dataset(output).partitions.max(1));
         let written = shuffled_bytes(env.app, wide) / map_tasks;
         let combine = wide_combines(w.op).then(|| (w.records as f64 / map_tasks, w.compute));
         ConsumerCost {
-            wide,
             written,
             write_s: written / env.cluster.spec.disk_bandwidth,
             combine,
@@ -182,41 +182,247 @@ impl ConsumerCost {
     }
 }
 
-/// Walks the pipeline for partition `p` of `output` on `machine`, mutating
-/// the block store (cache hits, inserts, swaps).
+/// One op of a compiled [`StageWalk`]. A dataset node of the task's
+/// recursion becomes `[Probe] children… Exit`: the probe only when the
+/// dataset is persisted, the children only for narrow datasets.
+#[derive(Debug, Clone, Copy)]
+enum WalkOp {
+    /// Pre-order visit of a persisted dataset: one `store.read`. On a hit
+    /// the cache read is recorded and the walk continues at op `skip`,
+    /// just past this node's `Exit`; on a miss it falls through into the
+    /// subtree that recomputes the partition.
+    Probe { d: DatasetId, skip: u32 },
+    /// Post-order visit: records the step that produced `d` and, when `d`
+    /// is persisted, caches the partition (`try_insert` + `apply_swap`).
+    /// Shuffle writes are trailing exits with `d` the consuming wide.
+    Exit {
+        d: DatasetId,
+        kind: StepKind,
+        persisted: bool,
+    },
+}
+
+/// Duration and size of one op for one partition.
+#[derive(Debug, Clone, Copy)]
+struct OpCost {
+    /// Step seconds; for a probe, the local cache-read seconds.
+    dur: f64,
+    /// Probe only: the remote (network) cache-read seconds.
+    remote: f64,
+    /// Partition bytes (for a shuffle write, the bytes written).
+    bytes: f64,
+}
+
+/// The task walk of one stage, compiled once and run once per task
+/// attempt.
 ///
-/// `shuffle_consumers` carries the precomputed shuffle-write costs of the
-/// wide datasets (of the current job) that read this stage's output; a
-/// `ShuffleWrite` step is appended for each. `steps_hint` pre-sizes the
-/// recorded steps (pass 0 when `env.trace` is off).
-pub fn walk_task(
-    env: &TaskEnv<'_>,
-    store: &mut BlockStore,
-    machine: usize,
+/// Costs are exact per partition: at zero skew every partition of every
+/// dataset has the same size, so one fill at compile time serves every
+/// task; otherwise each op's cost is computed when the walk reaches it,
+/// from the same expressions. Block-store calls happen in the recursion's
+/// order (probes pre-order, inserts post-order) and durations are summed
+/// step by step in that order, so runs are bit-identical to the plain
+/// recursion (this module's test oracle). Held in executor scratch so the
+/// buffers survive across stages.
+#[derive(Debug)]
+pub(crate) struct StageWalk {
+    ops: Vec<WalkOp>,
+    /// `costs[i]` — cost of `ops[i]`, filled only when `uniform`.
+    costs: Vec<OpCost>,
+    /// Shuffle-write terms of the trailing `ShuffleWrite` exits, in order.
+    writes: Vec<ConsumerCost>,
+    /// The stage output the tasks materialize.
     output: DatasetId,
-    p: u32,
-    shuffle_consumers: &[ConsumerCost],
-    steps_hint: usize,
-) -> TaskWalk {
-    let mut walk = TaskWalk {
-        duration: 0.0,
-        steps: Vec::with_capacity(steps_hint),
-    };
-    materialize(env, store, machine, output, p, &mut walk);
-    for c in shuffle_consumers {
-        // Map-side combine work (the scan producing partial aggregates) is
-        // part of the Shuffle Write half of a combining wide transformation.
-        let combine = match c.combine {
-            Some((records, compute)) => {
-                let input = env.sizing.partition_bytes(output, p);
-                compute.task_seconds(records, input) / env.cluster.spec.cpu_speed
-            }
-            None => 0.0,
-        };
-        let dur = combine + c.write_s;
-        walk.push_step(env.trace, c.wide, StepKind::ShuffleWrite, dur, c.written);
+    /// Number of `Exit` ops: an upper bound on a task's recorded steps.
+    exits: usize,
+    /// Zero skew: every partition costs the same, `costs` is filled.
+    uniform: bool,
+}
+
+impl Default for StageWalk {
+    fn default() -> Self {
+        StageWalk {
+            ops: Vec::new(),
+            costs: Vec::new(),
+            writes: Vec::new(),
+            output: DatasetId(0),
+            exits: 0,
+            uniform: false,
+        }
     }
-    walk
+}
+
+impl StageWalk {
+    /// Compiles the walk that materializes `output`, followed by one
+    /// `ShuffleWrite` step per wide dataset in `shuffle_consumers` (the
+    /// current job's wides that read this stage's output). Reuses the
+    /// buffers of the previous compile.
+    pub(crate) fn compile(
+        &mut self,
+        env: &TaskEnv<'_>,
+        output: DatasetId,
+        shuffle_consumers: &[DatasetId],
+    ) {
+        self.ops.clear();
+        self.costs.clear();
+        self.writes.clear();
+        self.output = output;
+        self.exits = 0;
+        self.emit(env, output);
+        for &w in shuffle_consumers {
+            self.writes.push(ConsumerCost::build(env, output, w));
+            self.ops.push(WalkOp::Exit {
+                d: w,
+                kind: StepKind::ShuffleWrite,
+                persisted: false,
+            });
+        }
+        self.exits += shuffle_consumers.len();
+        // `skew_factor` is exactly 1.0 for every partition at zero skew,
+        // so partition 0's costs are every partition's.
+        self.uniform = env.sizing.skew == 0.0;
+        if self.uniform {
+            for i in 0..self.ops.len() {
+                let c = self.op_cost(env, i, 0);
+                self.costs.push(c);
+            }
+        }
+    }
+
+    /// Appends the ops of dataset `d`'s node (see [`WalkOp`]).
+    fn emit(&mut self, env: &TaskEnv<'_>, d: DatasetId) {
+        let persisted = env.persisted[d.index()];
+        let probe = self.ops.len();
+        if persisted {
+            self.ops.push(WalkOp::Probe { d, skip: 0 });
+        }
+        let ds = env.app.dataset(d);
+        let kind = match ds.op {
+            OpKind::Source(_) => StepKind::SourceRead,
+            OpKind::Wide(_) => StepKind::ShuffleRead,
+            OpKind::Narrow(_) => {
+                for &par in &ds.parents {
+                    self.emit(env, par);
+                }
+                StepKind::Compute
+            }
+        };
+        self.ops.push(WalkOp::Exit { d, kind, persisted });
+        self.exits += 1;
+        if persisted {
+            let skip = u32::try_from(self.ops.len()).expect("walk fits u32 op indices");
+            self.ops[probe] = WalkOp::Probe { d, skip };
+        }
+    }
+
+    /// Cost of op `i` for partition `p`, by the expressions of the
+    /// recursive walk.
+    fn op_cost(&self, env: &TaskEnv<'_>, i: usize, p: u32) -> OpCost {
+        let spec = &env.cluster.spec;
+        let (d, kind) = match self.ops[i] {
+            WalkOp::Probe { d, .. } => {
+                let bytes = env.sizing.partition_bytes(d, p);
+                return OpCost {
+                    dur: bytes / spec.cache_read_bandwidth,
+                    remote: bytes / spec.network_bandwidth,
+                    bytes,
+                };
+            }
+            WalkOp::Exit { d, kind, .. } => (d, kind),
+        };
+        if kind == StepKind::ShuffleWrite {
+            // The shuffle writes are the trailing ops, in `writes` order.
+            let c = &self.writes[i + self.writes.len() - self.ops.len()];
+            // Map-side combine work (the scan producing partial
+            // aggregates) is part of the Shuffle Write half of a combining
+            // wide transformation.
+            let combine = match c.combine {
+                Some((records, compute)) => {
+                    let input = env.sizing.partition_bytes(self.output, p);
+                    compute.task_seconds(records, input) / spec.cpu_speed
+                }
+                None => 0.0,
+            };
+            return OpCost {
+                dur: combine + c.write_s,
+                remote: 0.0,
+                bytes: c.written,
+            };
+        }
+        let bytes = env.sizing.partition_bytes(d, p);
+        let dur = match kind {
+            StepKind::SourceRead => bytes / spec.disk_bandwidth,
+            StepKind::ShuffleRead => shuffle_read_seconds(env, d, p),
+            StepKind::Compute => {
+                let ds = env.app.dataset(d);
+                let mut input_bytes = 0.0;
+                for &par in &ds.parents {
+                    input_bytes += env.sizing.partition_bytes(par, p);
+                }
+                let records = env.sizing.partition_records(d, p);
+                ds.compute.task_seconds(records, input_bytes) / spec.cpu_speed
+            }
+            StepKind::CacheRead | StepKind::ShuffleWrite => unreachable!("not a node exit"),
+        };
+        OpCost {
+            dur,
+            remote: 0.0,
+            bytes,
+        }
+    }
+
+    #[inline]
+    fn cost(&self, env: &TaskEnv<'_>, i: usize, p: u32) -> OpCost {
+        if self.uniform {
+            self.costs[i]
+        } else {
+            self.op_cost(env, i, p)
+        }
+    }
+
+    /// Walks partition `p` on `machine`, mutating the block store (cache
+    /// hits, inserts, swaps). `env` must be the environment the walk was
+    /// compiled under.
+    pub(crate) fn run(
+        &self,
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        p: u32,
+    ) -> TaskWalk {
+        let mut walk = TaskWalk {
+            duration: 0.0,
+            steps: Vec::with_capacity(if env.trace { self.exits } else { 0 }),
+        };
+        let mut i = 0;
+        while let Some(&op) = self.ops.get(i) {
+            match op {
+                WalkOp::Probe { d, skip } => {
+                    // One fused lookup: counts the hit/miss and returns the
+                    // holder. A miss falls through to recompute.
+                    if let Some(holder) = store.read(d, p) {
+                        // Local read from storage memory, or a remote fetch
+                        // if locality scheduling could not place us on the
+                        // holder.
+                        let c = self.cost(env, i, p);
+                        let dur = if holder == machine { c.dur } else { c.remote };
+                        walk.push_step(env.trace, d, StepKind::CacheRead, dur, c.bytes);
+                        i = skip as usize;
+                        continue;
+                    }
+                }
+                WalkOp::Exit { d, kind, persisted } => {
+                    let c = self.cost(env, i, p);
+                    walk.push_step(env.trace, d, kind, c.dur, c.bytes);
+                    if persisted && store.try_insert(machine, d, p, c.bytes.max(1.0) as Bytes) {
+                        apply_swap(env, store, d, p);
+                    }
+                }
+            }
+            i += 1;
+        }
+        walk
+    }
 }
 
 /// Total bytes crossing the network for a wide dataset's shuffle: combining
@@ -260,67 +466,6 @@ fn shuffle_read_seconds(env: &TaskEnv<'_>, wide: DatasetId, p: u32) -> f64 {
     fetch + compute
 }
 
-/// Recursively makes partition `p` of `d` available inside the task.
-fn materialize(
-    env: &TaskEnv<'_>,
-    store: &mut BlockStore,
-    machine: usize,
-    d: DatasetId,
-    p: u32,
-    walk: &mut TaskWalk,
-) {
-    let spec = &env.cluster.spec;
-    let bytes = env.sizing.partition_bytes(d, p);
-    let is_persisted = env.persisted[d.index()];
-
-    if is_persisted {
-        // One fused lookup: counts the hit/miss and returns the holder.
-        if let Some(holder) = store.read(d, p) {
-            // Local read from storage memory, or a remote fetch if locality
-            // scheduling could not place us on the holder.
-            let bw = if holder == machine {
-                spec.cache_read_bandwidth
-            } else {
-                spec.network_bandwidth
-            };
-            walk.push_step(env.trace, d, StepKind::CacheRead, bytes / bw, bytes);
-            return;
-        }
-        // Persisted but not resident: the miss is recorded; recompute below.
-    }
-
-    let ds = env.app.dataset(d);
-    match ds.op {
-        OpKind::Source(_) => {
-            walk.push_step(
-                env.trace,
-                d,
-                StepKind::SourceRead,
-                bytes / spec.disk_bandwidth,
-                bytes,
-            );
-        }
-        OpKind::Wide(_) => {
-            let dur = shuffle_read_seconds(env, d, p);
-            walk.push_step(env.trace, d, StepKind::ShuffleRead, dur, bytes);
-        }
-        OpKind::Narrow(_) => {
-            let mut input_bytes = 0.0;
-            for &par in &ds.parents {
-                input_bytes += env.sizing.partition_bytes(par, p);
-                materialize(env, store, machine, par, p, walk);
-            }
-            let records = env.sizing.partition_records(d, p);
-            let compute = ds.compute.task_seconds(records, input_bytes) / spec.cpu_speed;
-            walk.push_step(env.trace, d, StepKind::Compute, compute, bytes);
-        }
-    }
-
-    if is_persisted && store.try_insert(machine, d, p, bytes.max(1.0) as Bytes) {
-        apply_swap(env, store, d, p);
-    }
-}
-
 /// Applies the `u(X) … p(Y)` partition-by-partition swap: as Y's blocks
 /// materialize, X's are dropped so the pair never occupies more than
 /// `max(|X|, |Y|)` plus one partition.
@@ -351,6 +496,7 @@ mod tests {
 
     use crate::config::MachineSpec;
     use crate::memory::BlockLayout;
+    use crate::report::PipelineStep;
 
     fn store_for(app: &Application, cluster: &ClusterConfig) -> BlockStore {
         BlockStore::new(cluster, std::sync::Arc::new(BlockLayout::from_app(app)))
@@ -403,11 +549,111 @@ mod tests {
         }
     }
 
-    fn costs(env: &TaskEnv<'_>, output: DatasetId, wides: &[DatasetId]) -> Vec<ConsumerCost> {
-        wides
-            .iter()
-            .map(|&w| ConsumerCost::build(env, output, w))
-            .collect()
+    /// Compiles the stage walk for `output` and runs it for one task.
+    fn walk(
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        output: DatasetId,
+        p: u32,
+        shuffle_consumers: &[DatasetId],
+    ) -> TaskWalk {
+        let mut w = StageWalk::default();
+        w.compile(env, output, shuffle_consumers);
+        w.run(env, store, machine, p)
+    }
+
+    /// The oracle: the recursive walk [`StageWalk`] was compiled from,
+    /// kept verbatim. Walks partition `p` of `output` on `machine`,
+    /// mutating the block store, then appends one `ShuffleWrite` step per
+    /// consumer.
+    fn walk_task(
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        output: DatasetId,
+        p: u32,
+        shuffle_consumers: &[DatasetId],
+    ) -> TaskWalk {
+        let mut walk = TaskWalk::default();
+        materialize(env, store, machine, output, p, &mut walk);
+        for &wide in shuffle_consumers {
+            let c = ConsumerCost::build(env, output, wide);
+            // Map-side combine work (the scan producing partial aggregates) is
+            // part of the Shuffle Write half of a combining wide transformation.
+            let combine = match c.combine {
+                Some((records, compute)) => {
+                    let input = env.sizing.partition_bytes(output, p);
+                    compute.task_seconds(records, input) / env.cluster.spec.cpu_speed
+                }
+                None => 0.0,
+            };
+            let dur = combine + c.write_s;
+            walk.push_step(env.trace, wide, StepKind::ShuffleWrite, dur, c.written);
+        }
+        walk
+    }
+
+    /// Oracle: recursively makes partition `p` of `d` available inside the
+    /// task.
+    fn materialize(
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        d: DatasetId,
+        p: u32,
+        walk: &mut TaskWalk,
+    ) {
+        let spec = &env.cluster.spec;
+        let bytes = env.sizing.partition_bytes(d, p);
+        let is_persisted = env.persisted[d.index()];
+
+        if is_persisted {
+            // One fused lookup: counts the hit/miss and returns the holder.
+            if let Some(holder) = store.read(d, p) {
+                // Local read from storage memory, or a remote fetch if locality
+                // scheduling could not place us on the holder.
+                let bw = if holder == machine {
+                    spec.cache_read_bandwidth
+                } else {
+                    spec.network_bandwidth
+                };
+                walk.push_step(env.trace, d, StepKind::CacheRead, bytes / bw, bytes);
+                return;
+            }
+            // Persisted but not resident: the miss is recorded; recompute below.
+        }
+
+        let ds = env.app.dataset(d);
+        match ds.op {
+            OpKind::Source(_) => {
+                walk.push_step(
+                    env.trace,
+                    d,
+                    StepKind::SourceRead,
+                    bytes / spec.disk_bandwidth,
+                    bytes,
+                );
+            }
+            OpKind::Wide(_) => {
+                let dur = shuffle_read_seconds(env, d, p);
+                walk.push_step(env.trace, d, StepKind::ShuffleRead, dur, bytes);
+            }
+            OpKind::Narrow(_) => {
+                let mut input_bytes = 0.0;
+                for &par in &ds.parents {
+                    input_bytes += env.sizing.partition_bytes(par, p);
+                    materialize(env, store, machine, par, p, walk);
+                }
+                let records = env.sizing.partition_records(d, p);
+                let compute = ds.compute.task_seconds(records, input_bytes) / spec.cpu_speed;
+                walk.push_step(env.trace, d, StepKind::Compute, compute, bytes);
+            }
+        }
+
+        if is_persisted && store.try_insert(machine, d, p, bytes.max(1.0) as Bytes) {
+            apply_swap(env, store, d, p);
+        }
     }
 
     #[test]
@@ -432,8 +678,7 @@ mod tests {
         let swap = HashMap::new();
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
-        let cc = costs(&env, DatasetId(1), &[DatasetId(2)]);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &cc, 0);
+        let walk = walk(&env, &mut store, 0, DatasetId(1), 0, &[DatasetId(2)]);
         // Steps: SourceRead(in), Compute(parsed), ShuffleWrite(agg).
         assert_eq!(walk.steps.len(), 3);
         assert_eq!(walk.steps[0].kind, StepKind::SourceRead);
@@ -468,9 +713,9 @@ mod tests {
         let swap = HashMap::new();
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
-        let first = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
+        let first = walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert_eq!(store.resident_count(DatasetId(1)), 1);
-        let second = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
+        let second = walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert_eq!(second.steps.len(), 1);
         assert_eq!(second.steps[0].kind, StepKind::CacheRead);
         assert!(
@@ -492,9 +737,9 @@ mod tests {
         let swap = HashMap::new();
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
-        walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
-        let local = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
-        let remote = walk_task(&env, &mut store, 1, DatasetId(1), 0, &[], 0);
+        walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let local = walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let remote = walk(&env, &mut store, 1, DatasetId(1), 0, &[]);
         assert!(remote.duration > local.duration * 2.0);
     }
 
@@ -505,7 +750,7 @@ mod tests {
         let swap = HashMap::new();
         let env = make_env(&app, &cluster, &params, &persisted, &swap);
         let mut store = store_for(&app, &cluster);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(2), 0, &[], 0);
+        let walk = walk(&env, &mut store, 0, DatasetId(2), 0, &[]);
         assert_eq!(walk.steps.len(), 1);
         assert_eq!(walk.steps[0].kind, StepKind::ShuffleRead);
         // treeAggregate combines map-side: the reducer fetches 8 partial
@@ -553,12 +798,12 @@ mod tests {
         let mut store = store_for(&app, &cluster);
         // Materialize and cache all of X first.
         for p in 0..4 {
-            walk_task(&env, &mut store, 0, x, p, &[], 0);
+            walk(&env, &mut store, 0, x, p, &[]);
         }
         assert_eq!(store.resident_count(x), 4);
         // Now compute Y partition by partition: X shrinks in lock-step.
         for p in 0..4 {
-            walk_task(&env, &mut store, 0, y, p, &[], 0);
+            walk(&env, &mut store, 0, y, p, &[]);
             let expect_x = 4 - (p + 1);
             assert!(
                 store.resident_count(x) <= expect_x + 1,
@@ -582,8 +827,306 @@ mod tests {
         let mut env = make_env(&app, &cluster, &params, &persisted, &swap);
         env.trace = false;
         let mut store = store_for(&app, &cluster);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[], 0);
+        let walk = walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert!(walk.steps.is_empty());
         assert!(walk.duration > 0.0);
+    }
+
+    /// A `Zip` of two branches over one ancestor: the walk does not
+    /// memoize, so the ancestor is visited twice. Unpersisted, it is read
+    /// from the source twice; persisted, the first visit caches it and the
+    /// second reads that block.
+    #[test]
+    fn diamond_ancestor_is_computed_twice_unless_cached() {
+        let mut b = AppBuilder::new("diamond");
+        let src = b.source("in", SourceFormat::DistributedFs, 100, 4_000_000, 4);
+        let a = b.narrow(
+            "a",
+            NarrowKind::Map,
+            &[src],
+            100,
+            4_000_000,
+            ComputeCost::FREE,
+        );
+        let l = b.narrow(
+            "l",
+            NarrowKind::Map,
+            &[a],
+            100,
+            4_000_000,
+            ComputeCost::FREE,
+        );
+        let r = b.narrow(
+            "r",
+            NarrowKind::Filter,
+            &[a],
+            100,
+            4_000_000,
+            ComputeCost::FREE,
+        );
+        let z = b.narrow(
+            "z",
+            NarrowKind::Zip,
+            &[l, r],
+            100,
+            4_000_000,
+            ComputeCost::FREE,
+        );
+        b.job("count", z);
+        let app = b.build().unwrap();
+        let cluster = ClusterConfig::new(1, MachineSpec::paper_example());
+        let params = SimParams::default();
+        let swap = HashMap::new();
+        let kinds = |w: &TaskWalk| {
+            w.steps
+                .iter()
+                .map(|s| (s.dataset, s.kind))
+                .collect::<Vec<_>>()
+        };
+
+        let persisted = vec![false; app.dataset_count()];
+        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let mut store = store_for(&app, &cluster);
+        let w = walk(&env, &mut store, 0, z, 0, &[]);
+        use StepKind::{CacheRead, Compute, SourceRead};
+        assert_eq!(
+            kinds(&w),
+            [
+                (src, SourceRead),
+                (a, Compute),
+                (l, Compute),
+                (src, SourceRead),
+                (a, Compute),
+                (r, Compute),
+                (z, Compute)
+            ]
+        );
+
+        let mut persisted = vec![false; app.dataset_count()];
+        persisted[a.index()] = true;
+        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let mut store = store_for(&app, &cluster);
+        let w = walk(&env, &mut store, 0, z, 0, &[]);
+        assert_eq!(
+            kinds(&w),
+            [
+                (src, SourceRead),
+                (a, Compute),
+                (l, Compute),
+                (a, CacheRead),
+                (r, Compute),
+                (z, Compute)
+            ]
+        );
+        let stats = store.dataset_stats(a).unwrap();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+    }
+
+    /// SplitMix64: the differential test draws its stage shapes from one
+    /// seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+    }
+
+    /// A random stage: one or two sources and maybe a shuffled dataset as
+    /// leaves, then narrow maps and two-parent zips/unions over any
+    /// earlier dataset (so branches share ancestors), ending in the stage
+    /// output; plus up to two wides reading the output. Returns the app,
+    /// the output and the consuming wides.
+    fn random_stage(rng: &mut Mix) -> (Application, DatasetId, Vec<DatasetId>) {
+        let parts = 1 + rng.below(5) as u32;
+        let mb = |rng: &mut Mix| (1 + rng.below(30)) * 1_000_000 * u64::from(parts);
+        let cost = |rng: &mut Mix| {
+            ComputeCost::new(
+                rng.below(50) as f64 * 1e-3,
+                rng.below(10) as f64 * 1e-6,
+                rng.below(10) as f64 * 1e-9,
+            )
+        };
+        let mut b = AppBuilder::new("walkprop");
+        let mut pool = Vec::new();
+        for i in 0..1 + rng.below(2) {
+            let bytes = mb(rng);
+            pool.push(b.source(
+                format!("in{i}"),
+                SourceFormat::DistributedFs,
+                1_000,
+                bytes,
+                parts,
+            ));
+        }
+        if rng.coin() {
+            let kind = if rng.coin() {
+                WideKind::ReduceByKey
+            } else {
+                WideKind::GroupByKey
+            };
+            let (bytes, c) = (mb(rng), cost(rng));
+            pool.push(b.wide("shuffled", kind, &[pool[0]], 1_000, bytes, c));
+        }
+        for i in 0..2 + rng.below(7) {
+            let x = pool[rng.below(pool.len() as u64) as usize];
+            let (bytes, c) = (mb(rng), cost(rng));
+            let records = 100 + rng.below(10_000);
+            let d = if rng.below(3) == 0 {
+                let y = pool[rng.below(pool.len() as u64) as usize];
+                let kind = if rng.coin() {
+                    NarrowKind::Zip
+                } else {
+                    NarrowKind::Union
+                };
+                b.narrow(format!("n{i}"), kind, &[x, y], records, bytes, c)
+            } else {
+                // Chain off the newest dataset more often than not, so
+                // stages are deep as well as wide.
+                let x = if rng.coin() { *pool.last().unwrap() } else { x };
+                b.narrow(format!("n{i}"), NarrowKind::Map, &[x], records, bytes, c)
+            };
+            pool.push(d);
+        }
+        let output = *pool.last().unwrap();
+        let mut consumers = Vec::new();
+        for i in 0..rng.below(3) {
+            let kind = if rng.coin() {
+                WideKind::ReduceByKey
+            } else {
+                WideKind::GroupByKey
+            };
+            let reducers = 1 + rng.below(6) as u32;
+            let c = cost(rng);
+            consumers.push(b.wide_with_partitions(
+                format!("w{i}"),
+                kind,
+                &[output],
+                500,
+                50_000_000,
+                reducers,
+                c,
+            ));
+        }
+        b.job("collect", consumers.last().copied().unwrap_or(output));
+        (b.build().unwrap(), output, consumers)
+    }
+
+    fn step_bits(steps: &[PipelineStep]) -> Vec<(DatasetId, StepKind, u64, u64, Bytes)> {
+        steps
+            .iter()
+            .map(|s| {
+                (
+                    s.dataset,
+                    s.kind,
+                    s.start.to_bits(),
+                    s.finish.to_bits(),
+                    s.out_bytes,
+                )
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The compiled walk, compiled once and run task after task,
+        /// leaves the same durations (to the bit), steps, cache statistics
+        /// and residency as the recursive oracle, over random stages with
+        /// diamonds, random persisted sets over a pre-warmed store, swaps,
+        /// skew, tight memory and 1–4 machines.
+        #[test]
+        fn stage_walk_matches_the_recursive_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            machines in 1u32..5,
+            skewed in proptest::prelude::any::<bool>(),
+            tight in proptest::prelude::any::<bool>(),
+            traced in proptest::prelude::any::<bool>(),
+            policy in 0usize..4,
+        ) {
+            let mut rng = Mix(seed);
+            let (app, output, consumers) = random_stage(&mut rng);
+            let n = app.dataset_count();
+            let persisted: Vec<bool> = (0..n).map(|_| rng.coin()).collect();
+            let cached: Vec<DatasetId> =
+                (0..n as u32).map(DatasetId).filter(|d| persisted[d.index()]).collect();
+            // `u(x) p(y)` pairs between persisted datasets.
+            let mut swap = HashMap::new();
+            if cached.len() >= 2 {
+                for _ in 0..rng.below(3) {
+                    let y = cached[rng.below(cached.len() as u64) as usize];
+                    let x = cached[rng.below(cached.len() as u64) as usize];
+                    if x != y {
+                        swap.insert(y, x);
+                    }
+                }
+            }
+            let spec = if tight {
+                // M = 60 MB per machine: inserts evict.
+                MachineSpec { ram_bytes: 400_000_000, ..MachineSpec::paper_example() }
+            } else {
+                MachineSpec::paper_example()
+            };
+            let cluster = ClusterConfig::new(machines, spec);
+            let params = SimParams::default();
+            let env = TaskEnv {
+                app: &app,
+                cluster: &cluster,
+                params: &params,
+                persisted: &persisted,
+                swap: &swap,
+                sizing: Sizing::new(&app, if skewed { 0.2 } else { 0.0 }),
+                trace: traced,
+            };
+            let policy = crate::eviction::EvictionPolicyKind::all()[policy];
+            let layout = std::sync::Arc::new(BlockLayout::from_app(&app));
+            let mut oracle = BlockStore::with_policy(&cluster, layout.clone(), policy);
+            let mut store = BlockStore::with_policy(&cluster, layout, policy);
+            // Pre-warm both stores alike: local and remote holders.
+            for &d in &cached {
+                for p in 0..app.dataset(d).partitions {
+                    if rng.coin() {
+                        let m = rng.below(u64::from(machines)) as usize;
+                        let bytes = env.sizing.partition_bytes(d, p).max(1.0) as Bytes;
+                        oracle.try_insert(m, d, p, bytes);
+                        store.try_insert(m, d, p, bytes);
+                    }
+                }
+            }
+            let mut compiled = StageWalk::default();
+            compiled.compile(&env, output, &consumers);
+            let parts = app.dataset(output).partitions;
+            for task in 0..3 * parts {
+                let p = rng.below(u64::from(parts)) as u32;
+                let m = rng.below(u64::from(machines)) as usize;
+                let want = walk_task(&env, &mut oracle, m, output, p, &consumers);
+                let got = compiled.run(&env, &mut store, m, p);
+                proptest::prop_assert_eq!(
+                    got.duration.to_bits(),
+                    want.duration.to_bits(),
+                    "task {} (p {}, machine {}): {} vs {}",
+                    task, p, m, got.duration, want.duration
+                );
+                proptest::prop_assert_eq!(step_bits(&got.steps), step_bits(&want.steps), "task {}", task);
+                for d in (0..n as u32).map(DatasetId) {
+                    proptest::prop_assert_eq!(store.dataset_stats(d), oracle.dataset_stats(d), "{:?}", d);
+                    for q in 0..app.dataset(d).partitions {
+                        proptest::prop_assert_eq!(store.residency(d, q), oracle.residency(d, q));
+                    }
+                }
+            }
+        }
     }
 }

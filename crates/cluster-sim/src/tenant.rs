@@ -37,7 +37,7 @@ use std::sync::Arc;
 use dagflow::{Application, DagError, DatasetId, JobId, Schedule, ScheduleOp};
 
 use crate::config::{ClusterConfig, SimParams};
-use crate::engine::{needed_stages, record_run_metrics, RunOptions};
+use crate::engine::{job_hints, needed_stages, record_run_metrics, RunOptions};
 use crate::engine::{Engine, EnginePrep};
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::ChaosState;
@@ -325,18 +325,7 @@ impl<'a> TenantSet<'a> {
                 tr.chaos.fire_due(tr.now, &mut store, &mut tr.state);
             }
             for (d, uses) in &tr.uses {
-                let remaining = uses.iter().filter(|&&u| u >= ji).count() as u64;
-                let next = uses
-                    .iter()
-                    .find(|&&u| u >= ji)
-                    .map_or(u32::MAX, |&u| (u - ji) as u32);
-                store.set_hint(
-                    *d,
-                    crate::eviction::DatasetHints {
-                        remaining_refs: remaining,
-                        next_use_distance: next,
-                    },
-                );
+                store.set_hint(*d, job_hints(uses, ji));
             }
             before.clear();
             before.extend(tr.uses.iter().map(|(d, _)| {
