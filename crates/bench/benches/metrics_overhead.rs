@@ -1,11 +1,11 @@
 //! Overhead of the metrics registry, measured two ways:
 //!
-//! 1. **Engine hot path** — a batch of paper-scale LOR runs with the
-//!    global registry off vs on (informational; sub-100ms batches are
+//! 1. **Engine hot path** — a batch of paper-scale LOR runs without vs
+//!    under a metrics scope (informational; sub-100ms batches are
 //!    jittery on shared machines, so this number is reported but not
 //!    gated).
-//! 2. **Offline training** with the registry off vs on — this is the
-//!    gated < 5 % budget: the call sites check `Registry::enabled()`
+//! 2. **Offline training** without vs under a metrics scope — this is
+//!    the gated < 5 % budget: the call sites check `Registry::enabled()`
 //!    once, so the disabled path must stay essentially free and the
 //!    enabled path is a handful of relaxed atomic ops per run.
 //!
@@ -21,11 +21,10 @@ use workloads::{LogisticRegression, Workload};
 const ENGINE_RUNS: usize = 24;
 const REPS: usize = 9;
 
-/// One timed batch of engine runs with the registry in the given state.
+/// One timed batch of engine runs with metrics in the given state.
 fn engine_batch_once(enabled: bool, rep: usize) -> f64 {
-    let reg = obs::global();
-    reg.set_enabled(enabled);
-    reg.reset();
+    let scope = enabled.then(obs::Scope::metrics);
+    let _installed = scope.as_ref().map(obs::Scope::install);
     let w = LogisticRegression;
     let app = w.build(&w.paper_params());
     let schedule = app.default_schedule().clone();
@@ -42,16 +41,13 @@ fn engine_batch_once(enabled: bool, rep: usize) -> f64 {
         .expect("run succeeds");
         std::hint::black_box(&report);
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    reg.set_enabled(false);
-    elapsed
+    t0.elapsed().as_secs_f64()
 }
 
 /// One timed offline training (threads = 1 for a stable measurement).
 fn training_once(enabled: bool) -> f64 {
-    let reg = obs::global();
-    reg.set_enabled(enabled);
-    reg.reset();
+    let scope = enabled.then(obs::Scope::metrics);
+    let _installed = scope.as_ref().map(obs::Scope::install);
     let w = LogisticRegression;
     let config = TrainingConfig {
         threads: 1,
@@ -61,7 +57,6 @@ fn training_once(enabled: bool) -> f64 {
     let trained = OfflineTraining::run(&w, &config).expect("training succeeds");
     let elapsed = t0.elapsed().as_secs_f64();
     std::hint::black_box(&trained);
-    reg.set_enabled(false);
     elapsed
 }
 

@@ -6,8 +6,8 @@
 //!    simulator records per *run*, not per task, precisely so a full
 //!    training sweep stays cheap to profile.
 //! 2. **Armed idle** — the tax every normal run pays for the compiled-in
-//!    call sites while the profiler is disabled. A disabled
-//!    `prof::scope` is one relaxed atomic load, so this is measured
+//!    call sites with no profiling scope installed. Such a `prof::scope`
+//!    is one thread-local check, so this is measured
 //!    directly as nanoseconds per call in a tight loop (informational;
 //!    single-digit-ns numbers are too jittery to pin in a gate).
 //!
@@ -29,10 +29,8 @@ const IDLE_CALLS: u64 = 2_000_000;
 /// One timed offline training (threads = 1 for a stable measurement)
 /// with the profiler in the given state.
 fn training_once(enabled: bool) -> f64 {
-    let prof = obs::prof::profiler();
-    prof.set_enabled(false);
-    prof.reset();
-    prof.set_enabled(enabled);
+    let scope = enabled.then(obs::Scope::profiling);
+    let _installed = scope.as_ref().map(obs::Scope::install);
     let w = LogisticRegression;
     let config = TrainingConfig {
         threads: 1,
@@ -42,8 +40,6 @@ fn training_once(enabled: bool) -> f64 {
     let trained = OfflineTraining::run(&w, &config).expect("training succeeds");
     let elapsed = t0.elapsed().as_secs_f64();
     std::hint::black_box(&trained);
-    prof.set_enabled(false);
-    prof.reset();
     elapsed
 }
 
@@ -51,10 +47,8 @@ fn training_once(enabled: bool) -> f64 {
 /// Exercises the per-run `sim`/`faults`/`stages` spans and the counter
 /// attribution path.
 fn engine_batch_once(enabled: bool, rep: usize) -> f64 {
-    let prof = obs::prof::profiler();
-    prof.set_enabled(false);
-    prof.reset();
-    prof.set_enabled(enabled);
+    let scope = enabled.then(obs::Scope::profiling);
+    let _installed = scope.as_ref().map(obs::Scope::install);
     let w = LogisticRegression;
     let app = w.build(&w.paper_params());
     let schedule = app.default_schedule().clone();
@@ -71,16 +65,12 @@ fn engine_batch_once(enabled: bool, rep: usize) -> f64 {
         .expect("run succeeds");
         std::hint::black_box(&report);
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    prof.set_enabled(false);
-    prof.reset();
-    elapsed
+    t0.elapsed().as_secs_f64()
 }
 
-/// Nanoseconds per disabled `prof::scope` call: the armed-idle tax.
+/// Nanoseconds per `prof::scope` call with no scope installed: the
+/// armed-idle tax.
 fn idle_ns_per_scope() -> f64 {
-    let prof = obs::prof::profiler();
-    prof.set_enabled(false);
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let t0 = Instant::now();

@@ -88,16 +88,14 @@ fn main() {
     }
 
     // One profiled (untimed) run for the embedded phase attribution.
-    let prof = obs::prof::profiler();
-    prof.set_enabled(false);
-    prof.reset();
-    prof.enable();
+    let scope = obs::Scope::profiling();
+    let installed = scope.install();
     let r = engine
         .run_shared(&schedule, RunOptions::default())
         .expect("default schedule validates");
     assert_eq!(r.digest(), digest, "profiled run must be bit-identical");
-    let profile = prof.take_profile();
-    prof.set_enabled(false);
+    drop(installed);
+    let profile = scope.profiler().take_profile();
 
     let speedup_run = if PRE_PR_RUN_ONLY_S > 0.0 {
         PRE_PR_RUN_ONLY_S / best_run

@@ -40,14 +40,14 @@ pub struct RunOptions {
 /// summed over every dataset, plus executor-level spill/locality tallies.
 /// Sums are order-independent, so snapshots are deterministic regardless
 /// of `HashMap` iteration order.
-/// Feeds one finished run's counters into the global metrics registry.
-/// A single branch when the registry is disabled (the default).
+/// Feeds one finished run's counters into the metrics registry of the
+/// current `obs::Scope`. A single branch when none records (the default).
 pub(crate) fn record_run_metrics(
     counters: &TraceCounters,
     total_tasks: u64,
     faults: &FaultSummary,
 ) {
-    let reg = obs::global();
+    let reg = obs::registry();
     if !reg.enabled() {
         return;
     }

@@ -583,9 +583,9 @@ fn placeholder_report(tenant: &Tenant<'_>, ti: usize, tenants: usize, machines: 
     }
 }
 
-/// Zero-gated tenancy counters for the global metrics registry.
+/// Zero-gated tenancy counters for the current `obs::Scope`'s registry.
 fn record_tenancy_metrics(runs: &[TenantRun]) {
-    let reg = obs::global();
+    let reg = obs::registry();
     if !reg.enabled() {
         return;
     }

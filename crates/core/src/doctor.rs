@@ -1,6 +1,6 @@
 //! End-to-end diagnostics behind `juggler doctor`.
 //!
-//! [`doctor`] trains a workload with the global metrics registry enabled,
+//! [`doctor`] trains a workload under its own recording `obs::Scope`,
 //! then *validates its own predictions*: every Pareto menu option at the
 //! paper-scale parameters is simulated once (fixed seeds) and the
 //! predicted time/size are compared against the observed run in a
@@ -39,6 +39,9 @@ pub struct DoctorReport {
     pub ledger: PredictionLedger,
     /// Deterministic counter snapshot taken after the validations.
     pub snapshot: obs::Snapshot,
+    /// The run's own metrics registry; `snapshot(true)` adds the host
+    /// wall-clock gauges (`juggler metrics --timings`).
+    pub registry: obs::Registry,
     /// Single-run health baseline: this run's own manifest folded
     /// through the watchtower against the default SLO, with EWMA bands
     /// seeded from the training holdout residuals. Deliberately ignores
@@ -50,25 +53,16 @@ pub struct DoctorReport {
 }
 
 /// Trains `workload`, validates the menu's predictions, and gathers the
-/// full diagnostics bundle. Enables and resets the global metrics
-/// registry for the duration (the previous enabled state is restored).
+/// full diagnostics bundle. Records into a metrics scope of its own, so
+/// the report depends only on (workload, config), whatever else runs in
+/// the process.
 pub fn doctor(
     workload: &dyn Workload,
     config: &TrainingConfig,
 ) -> Result<DoctorReport, TrainingError> {
-    let reg = obs::global();
-    let was_enabled = reg.enabled();
-    reg.set_enabled(true);
-    reg.reset();
-    let result = doctor_inner(workload, config);
-    reg.set_enabled(was_enabled);
-    result
-}
-
-fn doctor_inner(
-    workload: &dyn Workload,
-    config: &TrainingConfig,
-) -> Result<DoctorReport, TrainingError> {
+    let scope = obs::Scope::metrics();
+    let _installed = scope.install();
+    let registry = scope.registry();
     let (trained, timings, diagnostics) = OfflineTraining::run_full(workload, config)?;
 
     let paper = workload.paper_params();
@@ -85,7 +79,7 @@ fn doctor_inner(
         let cluster = ClusterConfig::new(opt.machines.max(1), config.target_spec);
         let report =
             Engine::new(&app, cluster, sim).run_shared(&opt.schedule, RunOptions::default())?;
-        obs::global()
+        registry
             .counter(
                 "prediction_validations_total",
                 "menu options validated against a simulated run",
@@ -105,14 +99,14 @@ fn doctor_inner(
         });
     }
 
-    let snapshot = obs::global().snapshot(false);
     let mut report = DoctorReport {
         trained,
         diagnostics,
         menu,
         params: (e, f),
         ledger,
-        snapshot,
+        snapshot: registry.snapshot(false),
+        registry: registry.clone(),
         health: Watchtower::default().fold(&[]),
         timings,
     };

@@ -383,15 +383,15 @@ pub fn detect_hotspots_audited(
     )
 }
 
-/// Feeds one detection's decision counters into the global metrics
-/// registry (one branch when disabled).
+/// Feeds one detection's decision counters into the current
+/// `obs::Scope`'s metrics registry (one branch when disabled).
 fn record_hotspot_metrics(
     rounds: u32,
     bcr_evaluations: u64,
     reevaluations: u32,
     schedules: &[ScheduleAudit],
 ) {
-    let reg = obs::global();
+    let reg = obs::registry();
     if !reg.enabled() {
         return;
     }

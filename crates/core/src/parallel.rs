@@ -76,10 +76,10 @@ where
         return (0..len).map(f).collect();
     }
 
-    // Profiler phase context: workers re-establish the caller's active
-    // phase so spans opened inside `f` nest identically whether the work
-    // ran inline (1 thread) or on the pool — part of the profile
-    // structure-determinism contract. Free when profiling is off.
+    // Telemetry context: workers install the caller's `obs::Scope` and
+    // re-enter its active phase, so metrics and spans recorded inside `f`
+    // land in the caller's run, nested identically whether the work ran
+    // inline (1 thread) or on the pool.
     let prof_ctx = obs::prof::fork();
 
     // Gather directly into pre-sized index-order slots — no intermediate

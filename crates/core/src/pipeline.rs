@@ -145,7 +145,7 @@ pub struct PipelineTimings {
 impl PipelineTimings {
     fn push(&mut self, stage: &str, started: std::time::Instant, runs: u32) {
         let wall_s = started.elapsed().as_secs_f64();
-        let reg = obs::global();
+        let reg = obs::registry();
         if reg.enabled() {
             reg.counter(
                 "pipeline_stage_runs_total",
@@ -734,7 +734,7 @@ impl OfflineTraining {
         );
         drop(stage_prof);
 
-        let reg = obs::global();
+        let reg = obs::registry();
         if reg.enabled() {
             reg.counter("pipeline_trainings_total", "offline trainings completed")
                 .inc();

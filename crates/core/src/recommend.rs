@@ -134,7 +134,7 @@ impl RecommendationMenu {
             a.predicted_cost_machine_min
                 .total_cmp(&b.predicted_cost_machine_min)
         });
-        let reg = obs::global();
+        let reg = obs::registry();
         if reg.enabled() {
             reg.counter("recommend_menus_total", "recommendation menus constructed")
                 .inc();

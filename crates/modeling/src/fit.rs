@@ -239,7 +239,7 @@ impl FitWorkspace {
         residuals: &mut Vec<f64>,
     ) -> f64 {
         let _prof = obs::prof::scope("loocv");
-        let reg = obs::global();
+        let reg = obs::registry();
         if reg.enabled() {
             reg.counter(
                 "modeling_loocv_evaluations_total",

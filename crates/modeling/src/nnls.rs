@@ -23,8 +23,8 @@ pub fn nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
 
 /// [`nnls`] plus the number of Lawson–Hanson outer iterations the solve
 /// took — the model-quality diagnostics surface this, and each solve also
-/// feeds the `modeling_nnls_*` metrics when the global registry is
-/// enabled.
+/// feeds the `modeling_nnls_*` metrics when the current `obs::Scope`
+/// records them.
 ///
 /// # Panics
 /// Panics if `b.len() != a.rows()`, or if an input is non-finite.
@@ -123,7 +123,7 @@ impl NnlsWorkspace {
             *x /= scale;
         }
         obs::prof::count("nnls_iterations", iterations);
-        let reg = obs::global();
+        let reg = obs::registry();
         if reg.enabled() {
             reg.counter("modeling_nnls_solves_total", "NNLS solves performed")
                 .inc();

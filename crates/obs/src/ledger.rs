@@ -75,12 +75,6 @@ impl LedgerStore {
         LedgerStore { root: root.into() }
     }
 
-    /// The workspace-conventional root, `results/runs` under `base`.
-    #[must_use]
-    pub fn under(base: &Path) -> Self {
-        Self::new(base.join("results").join("runs"))
-    }
-
     /// The store's root directory.
     #[must_use]
     pub fn root(&self) -> &Path {

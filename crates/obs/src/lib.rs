@@ -5,9 +5,11 @@
 //! 1. **A metrics registry** ([`Registry`]) — counters, gauges, and
 //!    log2 histograms behind the same zero-cost-when-off discipline as
 //!    `cluster_sim::trace`: a disabled registry hands out no-op handles
-//!    and call sites pay one branch, no allocation, no lock. Snapshots
-//!    export to Prometheus text format and JSON, with deterministic
-//!    (sorted, byte-stable) output so exports can be golden-tested.
+//!    and call sites pay one branch, no allocation, no lock. Each run
+//!    records into the registry of its own [`Scope`], installed on the
+//!    run's threads; without one nothing records. Snapshots export to
+//!    Prometheus text format and JSON, with deterministic (sorted,
+//!    byte-stable) output so exports can be golden-tested.
 //! 2. **Formatting helpers** ([`fmt_sig`], [`fmt_duration_s`],
 //!    [`fmt_bytes`]) — the single source of truth for human-facing
 //!    numbers. Reports across `core`, `bench`, and the CLI route
@@ -51,6 +53,7 @@ pub mod log;
 mod perf;
 pub mod prof;
 mod registry;
+mod scope;
 
 pub use format::{fmt_bytes, fmt_bytes_delta, fmt_duration_s, fmt_percent, fmt_rate, fmt_sig};
 pub use hash::{sha256, sha256_hex, to_hex, Sha256};
@@ -63,6 +66,7 @@ pub use perf::{
     CheckOutcome, PerfReport,
 };
 pub use registry::{
-    global, log2_quantile, Counter, Gauge, Histogram, Log2Histogram, Metric, MetricClass,
-    MetricKind, MetricValue, Registry, Snapshot, HIST_BUCKETS,
+    log2_quantile, Counter, Gauge, Histogram, Log2Histogram, Metric, MetricClass, MetricKind,
+    MetricValue, Registry, Snapshot, HIST_BUCKETS,
 };
+pub use scope::{global, registry, Installed, Scope};

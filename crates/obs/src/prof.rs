@@ -3,8 +3,9 @@
 //! Call sites open scoped spans (`prof::scope("stage4/grid")`); each span
 //! pushes path segments onto a per-thread stack and, on drop, charges its
 //! elapsed wall time to the innermost node. Thread-local trees merge into
-//! one global call tree whenever a thread's stack empties, so the profile
-//! survives scoped worker pools. The merged tree carries, per node:
+//! the run's call tree whenever a thread's stack empties or its scope
+//! guard drops, so the profile survives scoped worker pools. The merged
+//! tree carries, per node:
 //!
 //! * **calls** — how many spans ended at this node;
 //! * **total time** — wall time measured at this node (or the sum of its
@@ -14,14 +15,16 @@
 //!   wall clock;
 //! * **self time** — total minus children, the basis for flamegraphs;
 //! * **counter deltas** — work counts ([`count`]) attributed to the
-//!   innermost active scope (cache hits, NNLS iterations, retries).
+//!   innermost active span (cache hits, NNLS iterations, retries).
 //!
-//! The determinism contract mirrors the metrics registry: with the
-//! profiler disabled every entry point is a no-op behind one atomic load.
-//! Enabled, the tree *structure* — node names, call counts, and counter
-//! values — is a pure function of the work performed and therefore
-//! bit-identical at any `JUGGLER_THREADS` count, provided fan-out sites
-//! propagate their phase context to workers with [`fork`]/[`ForkCtx::attach`].
+//! The determinism contract mirrors the metrics registry: spans and
+//! counters record into the profiler of the thread's current
+//! [`crate::Scope`], and with no recording scope installed every entry
+//! point is a no-op behind one thread-local check. Recording, the tree
+//! *structure* — node names, call counts, and counter values — is a pure
+//! function of the work performed and therefore bit-identical at any
+//! `JUGGLER_THREADS` count, provided fan-out sites carry their scope and
+//! phase context to workers with [`fork`]/[`ForkCtx::attach`].
 //! Timings are host wall-clock and excluded from [`Profile::structure_digest`],
 //! exactly like `MetricClass::Timing` metrics are excluded from default
 //! registry snapshots.
@@ -33,10 +36,8 @@
 //! through [`Profile::from_json_value`] for ledger storage and
 //! node-by-node diffing ([`ProfileDiff`]).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -44,6 +45,7 @@ use serde_json::Value;
 
 use crate::format::{fmt_duration_s, fmt_percent};
 use crate::hash::sha256_hex;
+use crate::scope::{with_current, Installed, Scope};
 
 // ── thread-local span stack ──────────────────────────────────────────
 
@@ -58,8 +60,10 @@ struct LocalNode {
     counters: Vec<(String, u64)>,
 }
 
+/// The calling thread's pre-merge call tree for its current scope; it
+/// lives in the thread's scope frame next to the scope itself.
 #[derive(Default)]
-struct LocalTree {
+pub(crate) struct LocalTree {
     nodes: Vec<LocalNode>,
     roots: Vec<u32>,
     stack: Vec<u32>,
@@ -94,11 +98,11 @@ impl LocalTree {
         id
     }
 
-    /// Pushes every `/`-separated segment of `path` onto the stack,
-    /// returning how many were pushed.
-    fn enter(&mut self, path: &str) -> u16 {
+    /// Pushes each path segment onto the stack, returning how many were
+    /// pushed.
+    fn enter<'a>(&mut self, segments: impl Iterator<Item = &'a str>) -> u16 {
         let mut pushed = 0u16;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
+        for seg in segments {
             let parent = self.stack.last().copied();
             let id = self.child_of(parent, seg);
             self.stack.push(id);
@@ -107,32 +111,32 @@ impl LocalTree {
         pushed
     }
 
-    /// Pops `pushed` segments; when `elapsed_ns` is `Some`, the innermost
-    /// node is charged the elapsed time and one call.
-    fn exit(&mut self, pushed: u16, elapsed_ns: Option<u64>) {
-        if pushed == 0 {
-            return;
-        }
-        if let (Some(ns), Some(&leaf)) = (elapsed_ns, self.stack.last()) {
+    /// Pops `pushed` segments, charging the innermost node `elapsed_ns`
+    /// and one call. Once the stack empties the tree merges into
+    /// `profiler`.
+    fn exit(&mut self, pushed: u16, elapsed_ns: u64, profiler: &Profiler) {
+        if let Some(&leaf) = self.stack.last() {
             let node = &mut self.nodes[leaf as usize];
             node.calls += 1;
-            node.leaf_ns += ns;
+            node.leaf_ns += elapsed_ns;
         }
         for _ in 0..pushed {
             self.stack.pop();
         }
-        if self.stack.is_empty() && !self.roots.is_empty() {
-            self.flush();
+        if self.stack.is_empty() {
+            self.flush(profiler);
         }
     }
 
-    /// Merges this thread's tree into the global profiler and clears it.
-    fn flush(&mut self) {
-        let mut merged = profiler().merged.lock().expect("profiler lock");
-        let roots = std::mem::take(&mut self.roots);
-        for root in roots {
-            self.merge_into(&mut merged, root);
+    /// Merges this tree into `profiler` and clears it.
+    pub(crate) fn flush(&mut self, profiler: &Profiler) {
+        if let (Some(merged), false) = (&profiler.0, self.roots.is_empty()) {
+            let mut merged = merged.lock().expect("profiler lock");
+            for &root in &self.roots {
+                self.merge_into(&mut merged, root);
+            }
         }
+        self.roots.clear();
         self.nodes.clear();
     }
 
@@ -154,14 +158,10 @@ impl LocalTree {
     }
 }
 
-thread_local! {
-    static LOCAL: RefCell<LocalTree> = RefCell::new(LocalTree::default());
-}
+// ── the run's profiler ───────────────────────────────────────────────
 
-// ── the global profiler ──────────────────────────────────────────────
-
-/// One node of the merged global tree. Children are name-keyed, which is
-/// what makes merge order (and therefore thread count) invisible in the
+/// One node of the merged tree. Children are name-keyed, which is what
+/// makes merge order (and therefore thread count) invisible in the
 /// exported structure.
 #[derive(Default)]
 struct MergedNode {
@@ -171,57 +171,34 @@ struct MergedNode {
     children: BTreeMap<String, MergedNode>,
 }
 
-/// The process-wide profiler: an on/off switch plus the merged call tree.
-/// Disabled (the default), [`scope`]/[`count`]/[`fork`] cost one relaxed
-/// atomic load and touch no thread-local state.
-pub struct Profiler {
-    enabled: AtomicBool,
-    merged: Mutex<BTreeMap<String, MergedNode>>,
-}
+/// A run's profiler: a cheap handle (clones share the tree) onto the
+/// merged call tree, or a disabled one that records nothing. Each
+/// [`Scope`] holds one; [`profiler`] returns the current scope's.
+#[derive(Clone, Default)]
+pub struct Profiler(Option<Arc<Mutex<BTreeMap<String, MergedNode>>>>);
 
 impl Profiler {
-    fn new() -> Self {
-        Profiler {
-            enabled: AtomicBool::new(false),
-            merged: Mutex::new(BTreeMap::new()),
-        }
+    /// A profiler that records.
+    pub(crate) fn recording() -> Self {
+        Profiler(Some(Arc::default()))
     }
 
     /// Whether spans are being recorded.
+    #[must_use]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off. Spans opened while disabled stay no-ops
-    /// even if recording is enabled before they close.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Enables recording (convenience for [`Profiler::set_enabled`]).
-    pub fn enable(&self) {
-        self.set_enabled(true);
-    }
-
-    /// Discards everything recorded so far. Call between runs with no
-    /// spans open on any thread.
-    pub fn reset(&self) {
-        self.merged.lock().expect("profiler lock").clear();
+        self.0.is_some()
     }
 
     /// Takes the merged profile recorded so far, leaving the profiler
-    /// empty. The calling thread's local tree is flushed first; other
-    /// threads flush when their outermost span closes, so collect only
-    /// after joining workers.
+    /// empty. A thread's spans merge when its outermost span closes or
+    /// its scope guard drops, so collect after joining workers.
     #[must_use]
     pub fn take_profile(&self) -> Profile {
-        LOCAL.with(|l| {
-            let mut t = l.borrow_mut();
-            if t.stack.is_empty() && !t.roots.is_empty() {
-                t.flush();
-            }
-        });
-        let merged = std::mem::take(&mut *self.merged.lock().expect("profiler lock"));
+        let merged = self
+            .0
+            .as_ref()
+            .map(|m| std::mem::take(&mut *m.lock().expect("profiler lock")))
+            .unwrap_or_default();
         Profile {
             roots: merged.iter().map(|(n, m)| build_node(n, m)).collect(),
         }
@@ -242,12 +219,11 @@ fn build_node(name: &str, m: &MergedNode) -> ProfileNode {
     }
 }
 
-/// The process-wide [`Profiler`], disabled until something calls
-/// [`Profiler::enable`] (the `juggler profile` command, the overhead
-/// bench, tests).
-pub fn profiler() -> &'static Profiler {
-    static GLOBAL: OnceLock<Profiler> = OnceLock::new();
-    GLOBAL.get_or_init(Profiler::new)
+/// The profiler of the calling thread's current [`Scope`]; disabled when
+/// no scope is installed.
+#[must_use]
+pub fn profiler() -> Profiler {
+    with_current(|f| f.scope.profiler().clone())
 }
 
 // ── span guards ──────────────────────────────────────────────────────
@@ -255,51 +231,50 @@ pub fn profiler() -> &'static Profiler {
 /// RAII guard for one phase span; created by [`scope`]. Dropping it pops
 /// the segments it pushed and charges the elapsed wall time to the
 /// innermost one.
-#[must_use = "a profiling scope measures until dropped"]
-pub struct Scope {
+#[must_use = "a profiling span measures until dropped"]
+pub struct Span {
     pushed: u16,
     start: Option<Instant>,
 }
 
-impl Drop for Scope {
+impl Drop for Span {
     fn drop(&mut self) {
-        if self.pushed == 0 {
-            return;
-        }
-        let elapsed = self
-            .start
-            .map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        LOCAL.with(|l| l.borrow_mut().exit(self.pushed, elapsed));
+        let Some(start) = self.start else { return };
+        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        with_current(|f| f.tree.exit(self.pushed, elapsed, f.scope.profiler()));
     }
 }
 
 /// Opens a phase span. `path` may carry several `/`-separated segments
-/// (`"stage4/grid"`); they nest under whatever scope is already active on
+/// (`"stage4/grid"`); they nest under whatever span is already active on
 /// this thread, so shared code (the simulator, the NNLS solver) shows up
-/// under each phase that calls it. No-op while the profiler is disabled.
-pub fn scope(path: &str) -> Scope {
-    if !profiler().enabled() {
-        return Scope {
-            pushed: 0,
-            start: None,
-        };
-    }
-    let pushed = LOCAL.with(|l| l.borrow_mut().enter(path));
-    Scope {
-        pushed,
-        start: Some(Instant::now()),
-    }
+/// under each phase that calls it. No-op unless the current scope's
+/// profiler records.
+pub fn scope(path: &str) -> Span {
+    with_current(|f| {
+        if !f.scope.profiler().enabled() {
+            return Span {
+                pushed: 0,
+                start: None,
+            };
+        }
+        let pushed = f.tree.enter(path.split('/').filter(|s| !s.is_empty()));
+        Span {
+            pushed,
+            start: (pushed > 0).then(Instant::now),
+        }
+    })
 }
 
 /// Attributes `delta` units of a named counter (cache hits, solver
-/// iterations, retries) to the innermost active scope on this thread.
-/// Dropped silently when the profiler is disabled or no scope is open.
+/// iterations, retries) to the innermost active span on this thread.
+/// Dropped silently when nothing records or no span is open.
 pub fn count(name: &str, delta: u64) {
-    if delta == 0 || !profiler().enabled() {
+    if delta == 0 {
         return;
     }
-    LOCAL.with(|l| {
-        let mut t = l.borrow_mut();
+    with_current(|f| {
+        let t = &mut f.tree;
         let Some(&top) = t.stack.last() else { return };
         let node = &mut t.nodes[top as usize];
         match node.counters.iter_mut().find(|(n, _)| n == name) {
@@ -309,73 +284,50 @@ pub fn count(name: &str, delta: u64) {
     });
 }
 
-/// A captured phase context for handing to worker threads. Workers call
-/// [`ForkCtx::attach`] so their spans nest under the phase that spawned
-/// them — without this, a stage-4 grid cell profiled on a worker would
-/// surface at the tree root on 8 threads but under `stage4` on 1 thread,
-/// breaking the structure-determinism contract.
+/// A captured scope and phase context for handing to worker threads.
+/// Workers call [`ForkCtx::attach`] so they record into the spawning
+/// run's scope, under the phase that spawned them — without this, a
+/// stage-4 grid cell on a worker would record nothing (or surface at the
+/// tree root on 8 threads but under `stage4` on 1 thread, breaking the
+/// structure-determinism contract).
 #[derive(Clone)]
 pub struct ForkCtx {
+    scope: Scope,
     path: Option<Arc<Vec<String>>>,
 }
 
-/// RAII guard re-establishing a forked phase context on a worker thread;
-/// see [`ForkCtx::attach`].
-#[must_use = "an attached fork context holds until dropped"]
-pub struct AttachGuard {
-    pushed: u16,
-}
-
-impl Drop for AttachGuard {
-    fn drop(&mut self) {
-        if self.pushed == 0 {
-            return;
-        }
-        LOCAL.with(|l| l.borrow_mut().exit(self.pushed, None));
-    }
-}
-
-/// Captures the calling thread's active phase path (cheap `Arc` clone per
-/// worker; `None` and fully free when the profiler is disabled).
+/// Captures the calling thread's current scope and active phase path
+/// (cheap `Arc` clones; no path when the profiler is off).
 pub fn fork() -> ForkCtx {
-    if !profiler().enabled() {
-        return ForkCtx { path: None };
-    }
-    let path = LOCAL.with(|l| {
-        let t = l.borrow();
-        t.stack
-            .iter()
-            .map(|&id| t.nodes[id as usize].name.clone())
-            .collect::<Vec<String>>()
-    });
-    if path.is_empty() {
-        return ForkCtx { path: None };
-    }
-    ForkCtx {
-        path: Some(Arc::new(path)),
-    }
+    with_current(|f| {
+        let t = &f.tree;
+        let path = (!t.stack.is_empty()).then(|| {
+            Arc::new(
+                t.stack
+                    .iter()
+                    .map(|&id| t.nodes[id as usize].name.clone())
+                    .collect(),
+            )
+        });
+        ForkCtx {
+            scope: f.scope.clone(),
+            path,
+        }
+    })
 }
 
 impl ForkCtx {
-    /// Re-establishes the captured path on the current thread. The guard
-    /// adds no call counts and no time of its own — it only provides the
-    /// ancestry for spans the worker opens beneath it.
-    pub fn attach(&self) -> AttachGuard {
-        let Some(path) = &self.path else {
-            return AttachGuard { pushed: 0 };
-        };
-        let pushed = LOCAL.with(|l| {
-            let mut t = l.borrow_mut();
-            let mut pushed = 0u16;
-            for seg in path.iter() {
-                let parent = t.stack.last().copied();
-                let id = t.child_of(parent, seg);
-                t.stack.push(id);
-                pushed += 1;
-            }
-            pushed
-        });
-        AttachGuard { pushed }
+    /// Installs the captured scope on the current thread and re-enters
+    /// the captured path. The path adds no call counts and no time of
+    /// its own — it only provides the ancestry for spans the worker
+    /// opens beneath it. Dropping the guard merges the worker's spans
+    /// and restores the thread's previous scope.
+    pub fn attach(&self) -> Installed {
+        let installed = self.scope.install();
+        if let Some(path) = &self.path {
+            with_current(|f| f.tree.enter(path.iter().map(String::as_str)));
+        }
+        installed
     }
 }
 
@@ -764,31 +716,30 @@ fn flatten(
 mod tests {
     use super::*;
 
-    /// The global profiler is process state; tests that touch it take
-    /// this lock and reset on entry so they compose under the parallel
-    /// test runner.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
+    /// Runs `f` under a fresh profiling scope and returns its profile.
     fn with_profiler(f: impl FnOnce()) -> Profile {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        profiler().reset();
-        profiler().enable();
-        f();
-        let p = profiler().take_profile();
-        profiler().set_enabled(false);
-        p
+        let run = Scope::profiling();
+        {
+            let _installed = run.install();
+            f();
+        }
+        run.profiler().take_profile()
     }
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        profiler().reset();
-        profiler().set_enabled(false);
-        {
+    fn nothing_records_without_a_profiling_scope() {
+        let spans = || {
             let _s = scope("a/b");
             count("hits", 3);
+        };
+        spans();
+        assert!(!profiler().enabled(), "no scope installed");
+        let metrics_only = Scope::metrics();
+        {
+            let _installed = metrics_only.install();
+            spans();
         }
-        assert!(profiler().take_profile().is_empty());
+        assert!(metrics_only.profiler().take_profile().is_empty());
     }
 
     #[test]
@@ -952,15 +903,37 @@ mod tests {
     }
 
     #[test]
-    fn scope_opened_disabled_stays_inert_after_enable() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        profiler().reset();
-        profiler().set_enabled(false);
-        let s = scope("late");
-        profiler().enable();
-        drop(s);
-        let p = profiler().take_profile();
-        profiler().set_enabled(false);
-        assert!(p.is_empty());
+    fn span_opened_before_install_stays_inert() {
+        let run = Scope::profiling();
+        let early = scope("early");
+        let installed = run.install();
+        drop(early);
+        drop(installed);
+        assert!(run.profiler().take_profile().is_empty());
+    }
+
+    #[test]
+    fn concurrent_scopes_record_disjoint_profiles() {
+        let record = |phase: &'static str| {
+            move || {
+                with_profiler(|| {
+                    for _ in 0..200 {
+                        let _s = scope(phase);
+                        count("n", 1);
+                    }
+                })
+            }
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(record("a"));
+            let b = s.spawn(record("b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (profile, phase) in [(a, "a"), (b, "b")] {
+            assert_eq!(profile.roots.len(), 1, "{phase}: {profile:?}");
+            let root = &profile.roots[0];
+            assert_eq!((root.name.as_str(), root.calls), (phase, 200));
+            assert_eq!(root.counters, BTreeMap::from([("n".to_owned(), 200)]));
+        }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Zero-cost-when-off contract (mirrors `cluster_sim::trace`): a disabled
 //! registry hands out *no-op* handles — recording through one is a single
-//! `Option` branch, no allocation, no lock, no atomic. Enabling the
-//! registry only affects handles created afterwards, which is why call
-//! sites check [`Registry::enabled`] before fetching handles.
+//! `Option` branch, no allocation, no lock, no atomic. Call sites fetch
+//! the current run's registry with [`crate::registry`] and check
+//! [`Registry::enabled`] once before fetching handles.
 //!
 //! Thread safety: handles are `Clone + Send + Sync`; recording uses
 //! relaxed atomics (sums are order-independent), registration takes a
@@ -14,8 +14,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -109,15 +109,6 @@ impl HistogramCell {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> Log2Histogram {
@@ -297,14 +288,6 @@ impl Cell {
             Cell::Histogram(_) => MetricKind::Histogram,
         }
     }
-
-    fn reset(&self) {
-        match self {
-            Cell::Counter(c) => c.value.store(0, Ordering::Relaxed),
-            Cell::Gauge(g) => g.bits.store(0, Ordering::Relaxed),
-            Cell::Histogram(h) => h.reset(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -314,47 +297,27 @@ struct Entry {
     cell: Cell,
 }
 
-/// A thread-safe metrics registry.
+/// A thread-safe metrics registry: a cheap handle (clones share the
+/// metrics) that is either recording or disabled.
 ///
-/// Most code records into the process-wide [`global`] registry, which is
-/// **disabled by default**; `juggler metrics`, `juggler doctor`, tests and
-/// benches enable it explicitly. Local instances are handy for tests that
-/// must not observe each other's metrics.
-#[derive(Debug)]
-pub struct Registry {
-    enabled: AtomicBool,
-    metrics: Mutex<BTreeMap<String, Entry>>,
-}
+/// Library code records into the registry of the current run's
+/// [`crate::Scope`] (see [`crate::registry`]); with no scope installed
+/// that is a disabled registry. Local instances serve exporters that
+/// build a snapshot of their own (`juggler health --format prom`).
+#[derive(Debug, Clone, Default)]
+pub struct Registry(Option<Arc<Mutex<BTreeMap<String, Entry>>>>);
 
 impl Registry {
-    /// A registry with the given initial enabled state.
+    /// A recording (`enabled`) or disabled registry.
     #[must_use]
     pub fn new(enabled: bool) -> Self {
-        Registry {
-            enabled: AtomicBool::new(enabled),
-            metrics: Mutex::new(BTreeMap::new()),
-        }
+        Registry(enabled.then(Arc::default))
     }
 
-    /// Whether handles obtained *now* will record.
+    /// Whether handles obtained from this registry record.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the registry. Only affects handles obtained
-    /// after the call; live handles keep their recording state.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Zeroes every registered metric (registrations and help text are
-    /// kept). Live handles keep working against the zeroed cells.
-    pub fn reset(&self) {
-        let metrics = self.metrics.lock();
-        for entry in metrics.values() {
-            entry.cell.reset();
-        }
+        self.0.is_some()
     }
 
     /// Registers (or looks up) a deterministic counter. Returns a no-op
@@ -393,10 +356,7 @@ impl Registry {
     }
 
     fn cell(&self, name: &str, help: &str, class: MetricClass, kind: MetricKind) -> Option<Cell> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut metrics = self.metrics.lock();
+        let mut metrics = self.0.as_ref()?.lock();
         let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             class,
@@ -419,10 +379,14 @@ impl Registry {
 
     /// Takes a point-in-time snapshot, sorted by metric name. With
     /// `include_timings = false` (the byte-stable default export),
-    /// [`MetricClass::Timing`] metrics are omitted.
+    /// [`MetricClass::Timing`] metrics are omitted. A disabled registry
+    /// snapshots empty.
     #[must_use]
     pub fn snapshot(&self, include_timings: bool) -> Snapshot {
-        let metrics = self.metrics.lock();
+        let Some(metrics) = &self.0 else {
+            return Snapshot::default();
+        };
+        let metrics = metrics.lock();
         let mut out = Vec::with_capacity(metrics.len());
         for (name, entry) in metrics.iter() {
             if entry.class == MetricClass::Timing && !include_timings {
@@ -444,14 +408,6 @@ impl Registry {
         }
         Snapshot { metrics: out }
     }
-}
-
-/// The process-wide registry, disabled by default. `juggler doctor`,
-/// `juggler metrics`, tests and benches enable it explicitly via
-/// [`Registry::set_enabled`].
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(|| Registry::new(false))
 }
 
 /// One metric in a [`Snapshot`].
@@ -537,7 +493,7 @@ impl MetricValue {
 
 /// A point-in-time, name-sorted view of a [`Registry`]. Both exporters
 /// produce byte-identical output for equal snapshots.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Metrics sorted by name.
     pub metrics: Vec<Metric>,
@@ -810,18 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_but_keeps_registrations() {
-        let reg = Registry::new(true);
-        let c = reg.counter("x_total", "a counter");
-        c.add(5);
-        reg.reset();
-        assert_eq!(c.get(), 0, "live handle sees the zeroed cell");
-        assert_eq!(reg.snapshot(false).counter("x_total"), Some(0));
-        c.inc();
-        assert_eq!(reg.snapshot(false).counter("x_total"), Some(1));
-    }
-
-    #[test]
     fn snapshot_sorts_and_filters_timings() {
         let reg = Registry::new(true);
         reg.gauge("z_seconds", "wall clock", MetricClass::Timing)
@@ -942,15 +886,5 @@ mod tests {
             json.contains("\"p50\":null,\"p95\":null,\"p99\":null"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn global_registry_starts_disabled() {
-        // Other tests in this binary do not touch the global registry, so
-        // this observation is race-free.
-        assert!(!global().enabled());
-        let c = global().counter("unused_total", "never records");
-        c.inc();
-        assert_eq!(c.get(), 0);
     }
 }

@@ -31,29 +31,11 @@ for workload in train-sim train-calib; do
         --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null
 done
 
-echo "== trace golden (Chrome trace_event export is byte-stable) =="
-cargo test -q --offline --test trace_golden
-
-echo "== metrics registry (concurrent exactness; thread-count-stable exports) =="
-cargo test -q --offline --test metrics_registry
-
-echo "== doctor golden (diagnostics report is byte-stable) =="
-cargo test -q --offline --test doctor_golden
-
 echo "== trace overhead (<5% budget; records results/BENCH_trace_overhead.json) =="
 cargo bench --offline -p bench --bench trace_overhead
 
 echo "== metrics overhead (<5% budget; records results/BENCH_metrics_overhead.json) =="
 cargo bench --offline -p bench --bench metrics_overhead
-
-echo "== ledger determinism (manifest hash is thread-count-stable) =="
-cargo test -q --offline --test ledger_determinism
-
-echo "== chaos matrix (workload x fault plan x seed recovery invariants) =="
-cargo test -q --offline --test chaos
-
-echo "== chaos golden (drill report is byte-stable) =="
-cargo test -q --offline --test chaos_golden
 
 echo "== chaos overhead (<5% armed-idle budget; records results/BENCH_chaos_overhead.json) =="
 cargo bench --offline -p bench --bench chaos_overhead
@@ -61,29 +43,11 @@ cargo bench --offline -p bench --bench chaos_overhead
 echo "== sim throughput (hot-path speedup vs frozen pre-rework constants; records results/BENCH_sim_throughput.json) =="
 cargo bench --offline -p bench --bench sim_throughput
 
-echo "== tenants matrix (workload pair x weight ratio x memory pressure x seed invariants) =="
-cargo test -q --offline --test tenants
-
-echo "== tenants golden (two-tenant contention drill report is byte-stable) =="
-cargo test -q --offline --test tenants_golden
-
 echo "== tenants overhead (<5% single-tenant budget; records results/BENCH_tenants_overhead.json) =="
 cargo bench --offline -p bench --bench tenants_overhead
 
-echo "== profile determinism (call-tree structure digest is thread-count-stable) =="
-cargo test -q --offline --test profile_determinism
-
-echo "== profile golden (structure-only phase tree is byte-stable) =="
-cargo test -q --offline --test profile_golden
-
 echo "== profile overhead (<5% enabled budget; records results/BENCH_profile_overhead.json) =="
 cargo bench --offline -p bench --bench profile_overhead
-
-echo "== health determinism (fold digest is thread-count-stable) =="
-cargo test -q --offline --test health_determinism
-
-echo "== health golden (drift drill names the onset run; tree is byte-stable) =="
-cargo test -q --offline --test health_golden
 
 echo "== health overhead (<5% steady-state fold budget; records results/BENCH_health_overhead.json) =="
 cargo bench --offline -p bench --bench health_overhead

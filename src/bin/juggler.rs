@@ -180,19 +180,36 @@ scripts/refresh_baselines.sh so baseline churn is an explicit commit).
 --threads 0 (the default) auto-sizes the experiment worker pool from the
 JUGGLER_THREADS environment variable or the machine's parallelism;
 --threads 1 forces sequential runs. Artifacts are bit-identical either
-way.";
+way. The default stores (results/runs/, results/profiles/,
+results/health/, and perf-report's results/) are relative to the
+working directory.";
 
 fn find_workload(name: &str) -> Result<Box<dyn Workload>, String> {
     juggler_suite::juggler::tenants::workload_by_name(name)
         .ok_or_else(|| format!("unknown workload `{name}` (try `juggler list`)"))
 }
 
-/// Extracts `--flag value` from an argument list.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Extracts `--flag value` from an argument list; a flag given without
+/// its value is an error.
+fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == name) {
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v.clone())),
+            None => Err(format!("{name} requires a value")),
+        },
+        None => Ok(None),
+    }
+}
+
+/// Parses the numeric `--flag N`, or `default` when it is absent.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    flag(args, name)?.map_or(Ok(default), |v| parse_num(&v, name))
+}
+
+/// Where a command files its documents: `--flag DIR`, or `results/<sub>`
+/// under the working directory — never the tree the binary was built in.
+fn results_path(args: &[String], name: &str, sub: &str) -> Result<PathBuf, String> {
+    Ok(flag(args, name)?.map_or_else(|| Path::new("results").join(sub), PathBuf::from))
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
@@ -222,28 +239,18 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the shared `--threads N` flag (0 = automatic).
-fn threads_flag(args: &[String]) -> Result<usize, String> {
-    match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1) {
-            Some(t) => parse_num(t, "--threads"),
-            None => Err("--threads requires a value".into()),
-        },
-        None => Ok(0),
-    }
-}
-
 fn cmd_train(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("train needs a workload name")?;
     let w = find_workload(name)?;
     let config = TrainingConfig {
-        threads: threads_flag(args)?,
+        threads: num_flag(args, "--threads", 0)?,
         ..TrainingConfig::default()
     };
+    let out = flag(args, "--out")?;
     obs::log_info!("training Juggler for {} (four offline stages)...", w.name());
     let trained = OfflineTraining::run(w.as_ref(), &config).map_err(|e| e.to_string())?;
     let json = serde_json::to_string_pretty(&trained).map_err(|e| e.to_string())?;
-    match flag(args, "--out") {
+    match out {
         Some(path) => {
             std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!(
@@ -259,8 +266,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_train_all(args: &[String]) -> Result<(), String> {
-    let threads = threads_flag(args)?;
-    let out_dir = flag(args, "--out-dir");
+    let threads = num_flag(args, "--threads", 0)?;
+    let out_dir = flag(args, "--out-dir")?;
     let ws = all_workloads();
     obs::log_info!(
         "training {} workloads on {} worker(s)...",
@@ -304,15 +311,15 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let trained: TrainedJuggler = serde_json::from_str(&json).map_err(|e| e.to_string())?;
     let e: f64 = parse_num(
-        &flag(args, "-e").ok_or("missing -e <examples>")?,
+        &flag(args, "-e")?.ok_or("missing -e <examples>")?,
         "examples",
     )?;
     let f: f64 = parse_num(
-        &flag(args, "-f").ok_or("missing -f <features>")?,
+        &flag(args, "-f")?.ok_or("missing -f <features>")?,
         "features",
     )?;
 
-    let menu = match flag(args, "--ram-gb") {
+    let menu = match flag(args, "--ram-gb")? {
         Some(gb) => {
             let gb: f64 = parse_num(&gb, "--ram-gb")?;
             let spec = MachineSpec {
@@ -372,7 +379,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let app = w.build(&params);
 
     // An explicit --ops "p(1) u(1) p(2)" skips training entirely.
-    if let Some(ops) = flag(args, "--ops") {
+    if let Some(ops) = flag(args, "--ops")? {
         let schedule = juggler_suite::dagflow::Schedule::parse(&ops).map_err(|e| e.to_string())?;
         app.check_schedule(&schedule).map_err(|e| e.to_string())?;
         println!(
@@ -407,12 +414,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
+    let idx = num_flag::<usize>(args, "--schedule", 1)?.saturating_sub(1);
     let trained =
         OfflineTraining::run(w.as_ref(), &TrainingConfig::default()).map_err(|e| e.to_string())?;
-    let idx: usize = match flag(args, "--schedule") {
-        Some(s) => parse_num::<usize>(&s, "--schedule")?.saturating_sub(1),
-        None => 0,
-    };
     let rs = trained
         .schedules
         .get(idx)
@@ -458,7 +462,7 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     let w = find_workload(name)?;
     // Render the sample-scale plan (paper-scale PCA has 1833 nodes).
     let app = w.build(&w.sample_params());
-    let schedule = match flag(args, "--schedule") {
+    let schedule = match flag(args, "--schedule")? {
         Some(s) => {
             let idx: usize = parse_num::<usize>(&s, "--schedule")?.saturating_sub(1);
             let trained = OfflineTraining::run(w.as_ref(), &TrainingConfig::default())
@@ -480,15 +484,12 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("trace needs a workload name")?;
     let w = find_workload(name)?;
-    let machines: u32 = match flag(args, "--machines") {
-        Some(m) => parse_num(&m, "--machines")?,
-        None => 2,
-    };
-    let width: usize = match flag(args, "--width") {
-        Some(v) => parse_num(&v, "--width")?,
-        None => 100,
-    };
-    let format = flag(args, "--format").unwrap_or_else(|| "gantt".to_owned());
+    let machines: u32 = num_flag(args, "--machines", 2)?;
+    let width: usize = num_flag(args, "--width", 100)?;
+    let threads = num_flag(args, "--threads", 0)?;
+    let format = flag(args, "--format")?.unwrap_or_else(|| "gantt".to_owned());
+    let out = flag(args, "--out")?;
+    let jsonl = flag(args, "--jsonl")?;
     if format != "gantt" && format != "collapsed" {
         return Err(format!(
             "unknown --format `{format}` (expected gantt or collapsed)"
@@ -518,7 +519,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     if format == "collapsed" {
         let trace = report.trace.as_ref().expect("trace was enabled");
         let collapsed = trace.to_collapsed();
-        match flag(args, "--out") {
+        match out {
             Some(path) => {
                 std::fs::write(&path, &collapsed).map_err(|e| format!("writing {path}: {e}"))?;
                 eprintln!("wrote collapsed stacks to {path} (inferno/speedscope format)");
@@ -542,13 +543,12 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     println!("{}", trace.summary());
 
     // Chrome trace_event export (chrome://tracing, Perfetto).
-    let out =
-        flag(args, "--out").unwrap_or_else(|| format!("trace_{}.json", w.name().to_lowercase()));
+    let out = out.unwrap_or_else(|| format!("trace_{}.json", w.name().to_lowercase()));
     let run_name = format!("{} sample run ({machines} machines)", w.name());
     std::fs::write(&out, trace.to_chrome_json(&run_name))
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote Chrome trace_event JSON to {out} (open in chrome://tracing or Perfetto)");
-    if let Some(path) = flag(args, "--jsonl") {
+    if let Some(path) = jsonl {
         std::fs::write(&path, trace.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote JSONL event log to {path}");
     }
@@ -557,7 +557,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // menu construction), skipped with --no-pipeline.
     if !args.iter().any(|a| a == "--no-pipeline") {
         let config = TrainingConfig {
-            threads: threads_flag(args)?,
+            threads,
             ..TrainingConfig::default()
         };
         obs::log_info!("timing the offline pipeline for {}...", w.name());
@@ -586,15 +586,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// The profile ledger: content-addressed canonical profile documents
 /// under `results/profiles/`, kept apart from the run-manifest ledger so
 /// `juggler runs list` (which parses manifests) never trips over them.
-fn profile_store(args: &[String]) -> obs::LedgerStore {
-    match flag(args, "--store") {
-        Some(dir) => obs::LedgerStore::new(dir),
-        None => obs::LedgerStore::new(
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("results")
-                .join("profiles"),
-        ),
-    }
+fn profile_store(args: &[String]) -> Result<obs::LedgerStore, String> {
+    results_path(args, "--store", "profiles").map(obs::LedgerStore::new)
 }
 
 /// Loads the profile tree out of a stored profile document (or a bare
@@ -610,30 +603,31 @@ fn load_profile(store: &obs::LedgerStore, reference: &str) -> Result<obs::prof::
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("profile needs a workload name")?;
     let w = find_workload(name)?;
-    let format = flag(args, "--format").unwrap_or_else(|| "tree".to_owned());
+    let format = flag(args, "--format")?.unwrap_or_else(|| "tree".to_owned());
     if !matches!(format.as_str(), "tree" | "collapsed" | "json") {
         return Err(format!(
             "unknown --format `{format}` (expected tree, collapsed, or json)"
         ));
     }
     let config = TrainingConfig {
-        threads: threads_flag(args)?,
+        threads: num_flag(args, "--threads", 0)?,
         ..TrainingConfig::default()
     };
+    let store = profile_store(args)?;
+    let diff_base = flag(args, "--diff")?;
     obs::log_info!(
         "profile: training {} with the phase profiler enabled...",
         w.name()
     );
-    let prof = obs::prof::profiler();
-    prof.reset();
-    prof.enable();
+    let scope = obs::Scope::profiling();
+    let installed = scope.install();
     let trained = OfflineTraining::run(w.as_ref(), &config).map_err(|e| e.to_string())?;
     // Stage 5 (menu construction) profiles too, so the tree covers the
     // whole paper pipeline, not just offline training.
     let paper = w.paper_params();
     let menu = trained.recommend(paper.e(), paper.f());
-    let profile = prof.take_profile();
-    prof.set_enabled(false);
+    drop(installed);
+    let profile = scope.profiler().take_profile();
     obs::log_info!(
         "profile: {} options on the menu; recorded {} of phase time",
         menu.options.len(),
@@ -656,7 +650,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     ]);
     let doc_json = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
     let hash = obs::sha256_hex(doc_json.as_bytes());
-    let store = profile_store(args);
     let stored = store
         .record(&hash, &doc_json)
         .map_err(|e| format!("recording profile: {e}"))?;
@@ -672,7 +665,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         stored.display()
     );
 
-    if let Some(reference) = flag(args, "--diff") {
+    if let Some(reference) = diff_base {
         let base = load_profile(&store, &reference)?;
         let diff = obs::prof::ProfileDiff::between(&base, &profile);
         println!("\nphase deltas vs {reference} (base -> new):");
@@ -692,19 +685,16 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("doctor needs a workload name")?;
     let w = find_workload(name)?;
     let config = TrainingConfig {
-        threads: threads_flag(args)?,
+        threads: num_flag(args, "--threads", 0)?,
         ..TrainingConfig::default()
     };
-    let format = flag(args, "--format").unwrap_or_else(|| "text".to_owned());
+    let format = flag(args, "--format")?.unwrap_or_else(|| "text".to_owned());
     if format != "text" && format != "json" {
         return Err(format!(
             "unknown --format `{format}` (expected text or json)"
         ));
     }
-    obs::log_info!(
-        "doctor: training {} with the metrics registry enabled...",
-        w.name()
-    );
+    obs::log_info!("doctor: training {} with a metrics scope...", w.name());
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
     if format == "json" {
         // The machine-readable form is the provenance manifest itself —
@@ -726,22 +716,18 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("chaos needs a workload name")?;
     let w = find_workload(name)?;
     let mut cfg = juggler_suite::juggler::ChaosConfig::default();
-    if let Some(plan) = flag(args, "--plan") {
+    if let Some(plan) = flag(args, "--plan")? {
         cfg.kind = juggler_suite::juggler::PlanKind::from_name(&plan).ok_or_else(|| {
             format!(
                 "unknown plan `{plan}` (expected loss | slow | flaky | pressure | combo | drill)"
             )
         })?;
     }
-    if let Some(m) = flag(args, "--machines") {
-        cfg.machines = parse_num(&m, "--machines")?;
-        if cfg.machines == 0 {
-            return Err("--machines must be at least 1".into());
-        }
+    cfg.machines = num_flag(args, "--machines", cfg.machines)?;
+    if cfg.machines == 0 {
+        return Err("--machines must be at least 1".into());
     }
-    if let Some(s) = flag(args, "--seed") {
-        cfg.seed = parse_num(&s, "--seed")?;
-    }
+    cfg.seed = num_flag(args, "--seed", cfg.seed)?;
     obs::log_info!(
         "chaos: running {} fault-free, then with plan `{}`...",
         w.name(),
@@ -780,24 +766,22 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("metrics needs a workload name")?;
     let w = find_workload(name)?;
     let config = TrainingConfig {
-        threads: threads_flag(args)?,
+        threads: num_flag(args, "--threads", 0)?,
         ..TrainingConfig::default()
     };
-    let format = flag(args, "--format").unwrap_or_else(|| "prom".to_owned());
+    let format = flag(args, "--format")?.unwrap_or_else(|| "prom".to_owned());
     if format != "prom" && format != "json" {
         return Err(format!(
             "unknown --format `{format}` (expected prom or json)"
         ));
     }
-    obs::log_info!(
-        "metrics: training {} with the metrics registry enabled...",
-        w.name()
-    );
+    let output = flag(args, "--output")?;
+    obs::log_info!("metrics: training {} with a metrics scope...", w.name());
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
-    // --timings re-snapshots with the wall-clock gauges included; the
-    // default export contains deterministic metrics only.
+    // --timings re-snapshots the run's registry with the wall-clock
+    // gauges included; the default export is deterministic metrics only.
     let snapshot = if args.iter().any(|a| a == "--timings") {
-        obs::global().snapshot(true)
+        report.registry.snapshot(true)
     } else {
         report.snapshot
     };
@@ -805,7 +789,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         "prom" => snapshot.to_prometheus(),
         _ => format!("{}\n", snapshot.to_json()),
     };
-    match flag(args, "--output") {
+    match output {
         Some(path) => {
             std::fs::write(&path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {} metrics to {path}", snapshot.metrics.len());
@@ -817,12 +801,9 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 
 // ───────────────────────── run ledger commands ─────────────────────────
 
-/// The conventional ledger store, overridable with `--store DIR`.
-fn ledger_store(args: &[String]) -> obs::LedgerStore {
-    match flag(args, "--store") {
-        Some(dir) => obs::LedgerStore::new(dir),
-        None => obs::LedgerStore::under(Path::new(env!("CARGO_MANIFEST_DIR"))),
-    }
+/// The run ledger: `results/runs/`, overridable with `--store DIR`.
+fn ledger_store(args: &[String]) -> Result<obs::LedgerStore, String> {
+    results_path(args, "--store", "runs").map(obs::LedgerStore::new)
 }
 
 fn cmd_runs(args: &[String]) -> Result<ExitCode, String> {
@@ -845,13 +826,13 @@ fn cmd_runs_record(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("runs record needs a workload name")?;
     let w = find_workload(name)?;
     let config = TrainingConfig {
-        threads: threads_flag(args)?,
+        threads: num_flag(args, "--threads", 0)?,
         ..TrainingConfig::default()
     };
+    let store = ledger_store(args)?;
     obs::log_info!("runs record: training {} (doctor flow)...", w.name());
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
     let manifest = RunManifest::from_doctor(&report, &config, &w.paper_params());
-    let store = ledger_store(args);
     let path = store
         .record(&manifest.content_hash, &manifest.to_json())
         .map_err(|e| format!("recording manifest: {e}"))?;
@@ -867,17 +848,14 @@ fn cmd_runs_record(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_runs_list(args: &[String]) -> Result<(), String> {
-    let store = ledger_store(args);
+    let store = ledger_store(args)?;
     let mut runs = store
         .list()
         .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
-    if let Some(workload) = flag(args, "--workload") {
+    if let Some(workload) = flag(args, "--workload")? {
         runs.retain(|r| r.workload.eq_ignore_ascii_case(&workload));
     }
-    if let Some(limit) = flag(args, "--limit") {
-        let limit: usize = parse_num(&limit, "--limit")?;
-        runs.truncate(limit);
-    }
+    runs.truncate(num_flag(args, "--limit", usize::MAX)?);
     if runs.is_empty() {
         println!("no runs recorded in {}", store.root().display());
         return Ok(());
@@ -911,7 +889,7 @@ fn load_manifest(store: &obs::LedgerStore, reference: &str) -> Result<RunManifes
 
 fn cmd_runs_show(args: &[String]) -> Result<(), String> {
     let reference = args.first().ok_or("runs show needs a run id or path")?;
-    let manifest = load_manifest(&ledger_store(args), reference)?;
+    let manifest = load_manifest(&ledger_store(args)?, reference)?;
     print!("{}", render_manifest(&manifest));
     Ok(())
 }
@@ -919,7 +897,7 @@ fn cmd_runs_show(args: &[String]) -> Result<(), String> {
 fn cmd_runs_diff(args: &[String]) -> Result<ExitCode, String> {
     let a_ref = args.first().ok_or("runs diff needs two run references")?;
     let b_ref = args.get(1).ok_or("runs diff needs two run references")?;
-    let store = ledger_store(args);
+    let store = ledger_store(args)?;
     let a = load_manifest(&store, a_ref)?;
     let b = load_manifest(&store, b_ref)?;
     if a.envelope.schema_version != b.envelope.schema_version {
@@ -928,13 +906,11 @@ fn cmd_runs_diff(args: &[String]) -> Result<ExitCode, String> {
             a.envelope.schema_version, b.envelope.schema_version
         ));
     }
-    let mut tol = DiffTolerances::default();
-    if let Some(v) = flag(args, "--tol-coeff") {
-        tol.coeff_rel = parse_num(&v, "--tol-coeff")?;
-    }
-    if let Some(v) = flag(args, "--tol-pred") {
-        tol.pred_err_abs = parse_num(&v, "--tol-pred")?;
-    }
+    let defaults = DiffTolerances::default();
+    let tol = DiffTolerances {
+        coeff_rel: num_flag(args, "--tol-coeff", defaults.coeff_rel)?,
+        pred_err_abs: num_flag(args, "--tol-pred", defaults.pred_err_abs)?,
+    };
     let diff = ManifestDiff::between(&a, &b, &tol);
     print!("{}", diff.render());
     Ok(if diff.has_drift() {
@@ -1029,20 +1005,13 @@ fn render_manifest(m: &RunManifest) -> String {
 /// under `results/health/`, kept apart from the run-manifest ledger so
 /// `juggler runs list` never parses them. `--report-store DIR`
 /// overrides (the run ledger keeps its own `--store DIR` override).
-fn health_store(args: &[String]) -> obs::LedgerStore {
-    match flag(args, "--report-store") {
-        Some(dir) => obs::LedgerStore::new(dir),
-        None => obs::LedgerStore::new(
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("results")
-                .join("health"),
-        ),
-    }
+fn health_store(args: &[String]) -> Result<obs::LedgerStore, String> {
+    results_path(args, "--report-store", "health").map(obs::LedgerStore::new)
 }
 
 /// Reads the SLO spec from `--slo FILE`, or falls back to the defaults.
 fn slo_spec(args: &[String]) -> Result<SloSpec, String> {
-    match flag(args, "--slo") {
+    match flag(args, "--slo")? {
         Some(path) => {
             let raw = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
             SloSpec::from_json(&raw).map_err(|e| format!("{path}: {e}"))
@@ -1065,20 +1034,17 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
         .filter(|a| !a.starts_with("--"))
         .ok_or("health needs a workload name")?
         .to_ascii_uppercase();
-    let format = flag(args, "--format").unwrap_or_else(|| "tree".to_owned());
+    let format = flag(args, "--format")?.unwrap_or_else(|| "tree".to_owned());
     if !matches!(format.as_str(), "tree" | "json" | "prom") {
         return Err(format!(
             "unknown --format `{format}` (expected tree, json, or prom)"
         ));
     }
     let slo = slo_spec(args)?;
-    let since = flag(args, "--since");
-    let limit = match flag(args, "--limit") {
-        Some(v) => parse_num(&v, "--limit")?,
-        None => 0usize,
-    };
-    let store = ledger_store(args);
-    let reports = health_store(args);
+    let since = flag(args, "--since")?;
+    let limit = num_flag(args, "--limit", 0)?;
+    let store = ledger_store(args)?;
+    let reports = health_store(args)?;
     // Samples are cached next to the filed reports: a steady-state
     // `juggler health` only parses manifests recorded since the last one.
     let cache = reports.root().join("sample_cache.json");
@@ -1108,7 +1074,7 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let slo = slo_spec(args)?;
-    let store = ledger_store(args);
+    let store = ledger_store(args)?;
     let runs = store
         .list()
         .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
@@ -1137,17 +1103,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 
 // ───────────────────────── perf-regression gate ─────────────────────────
 
-fn results_dir(args: &[String]) -> PathBuf {
-    flag(args, "--results").map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("results"),
-        PathBuf::from,
-    )
-}
-
-fn baselines_dir(args: &[String], results: &Path) -> PathBuf {
-    flag(args, "--baselines").map_or_else(|| results.join("baselines"), PathBuf::from)
-}
-
 /// Bench artifact name (`metrics_overhead`) from a `BENCH_*.json` file
 /// name, if it is one.
 fn bench_name(file_name: &str) -> Option<&str> {
@@ -1155,8 +1110,9 @@ fn bench_name(file_name: &str) -> Option<&str> {
 }
 
 fn cmd_perf_report(args: &[String]) -> Result<ExitCode, String> {
-    let results = results_dir(args);
-    let baselines = baselines_dir(args, &results);
+    let results = results_path(args, "--results", "")?;
+    let baselines =
+        flag(args, "--baselines")?.map_or_else(|| results.join("baselines"), PathBuf::from);
 
     if args.iter().any(|a| a == "--write-baselines") {
         return done(write_baselines(&results, &baselines));

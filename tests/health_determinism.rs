@@ -5,9 +5,8 @@
 //! the in-memory manifests directly). The doctor-embedded single-run
 //! baseline rides along under the same contract.
 //!
-//! One test function on purpose: `doctor` resets the global metrics
-//! registry, and the `JUGGLER_THREADS` environment variable is
-//! process-wide.
+//! One test function on purpose: the `JUGGLER_THREADS` environment
+//! variable is process-wide.
 
 mod common;
 

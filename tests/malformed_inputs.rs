@@ -21,21 +21,25 @@ fn fixture(name: &str, body: &str) -> PathBuf {
     path
 }
 
-/// Runs `juggler <args> <path>` and asserts a clean failure: exit code 1
-/// and an `error:` line mentioning `expect`.
-fn fails_cleanly(args: &[&str], path: &Path, expect: &str) {
+/// Runs `juggler <args>` and asserts a clean failure: exit code 1 and an
+/// `error:` line mentioning `expect`.
+fn errors(args: &[&str], expect: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_juggler"))
         .args(args)
-        .arg(path)
         .output()
         .expect("juggler runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{}: {stderr}", path.display());
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
     assert!(
         stderr.contains("error:") && stderr.contains(expect),
-        "{}: want `error: ...{expect}...`, got:\n{stderr}",
-        path.display()
+        "{args:?}: want `error: ...{expect}...`, got:\n{stderr}"
     );
+}
+
+/// [`errors`] for `juggler <args> <path>`.
+fn fails_cleanly(args: &[&str], path: &Path, expect: &str) {
+    let path = path.to_str().expect("utf-8 temp path");
+    errors(&[args, &[path]].concat(), expect);
 }
 
 fn tenants(name: &str, body: &str, expect: &str) {
@@ -103,4 +107,18 @@ fn unknown_slo_key_is_rejected() {
         &slo,
         "unknown key `max_mean_time_err`",
     );
+}
+
+#[test]
+fn dangling_value_flags_are_errors() {
+    for (args, flag) in [
+        (&["train", "LOR", "--out"][..], "--out"),
+        (&["train", "LOR", "--threads"], "--threads"),
+        (&["profile", "KMEANS", "--store"], "--store"),
+        (&["doctor", "LOR", "--format"], "--format"),
+        (&["runs", "list", "--limit"], "--limit"),
+        (&["perf-report", "--results"], "--results"),
+    ] {
+        errors(args, &format!("{flag} requires a value"));
+    }
 }

@@ -1,10 +1,6 @@
 //! Metrics-registry integration tests: concurrent recording must be
 //! exact, and the deterministic export must be byte-stable no matter how
 //! many worker threads the training pipeline used.
-//!
-//! The global-registry assertions live in one test function on purpose:
-//! tests in this binary run on concurrent threads, and the global
-//! registry is process-wide state.
 
 mod common;
 

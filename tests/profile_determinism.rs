@@ -5,15 +5,10 @@
 //! pipeline. Timings are host wall-clock and are deliberately excluded
 //! from the structure digest.
 
-use std::sync::Mutex;
-
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainingConfig};
-use juggler_suite::obs::prof::{profiler, Profile};
+use juggler_suite::obs::prof::Profile;
+use juggler_suite::obs::Scope;
 use juggler_suite::workloads::{LogisticRegression, Workload};
-
-/// The global profiler is process-wide; tests in this binary run on
-/// parallel threads, so each takes this lock before touching it.
-static PROF_LOCK: Mutex<()> = Mutex::new(());
 
 /// Trains LOR end to end (stages 1-4 plus the stage-5 menu) with the
 /// profiler recording, and returns the merged profile.
@@ -23,22 +18,19 @@ fn profiled_training(threads: usize) -> Profile {
         threads,
         ..TrainingConfig::default()
     };
-    let prof = profiler();
-    prof.set_enabled(false);
-    prof.reset();
-    prof.enable();
+    let scope = Scope::profiling();
+    let installed = scope.install();
     let trained = OfflineTraining::run(&w, &config).expect("training succeeds");
     let paper = w.paper_params();
     let menu = trained.recommend(paper.e(), paper.f());
-    let profile = prof.take_profile();
-    prof.set_enabled(false);
+    drop(installed);
+    let profile = scope.profiler().take_profile();
     assert!(!menu.options.is_empty(), "menu must not be empty");
     profile
 }
 
 #[test]
 fn structure_digest_is_identical_across_thread_counts() {
-    let _guard = PROF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sequential = profiled_training(1);
     let base_digest = sequential.structure_digest();
     let base_structure = sequential.render_structure();
@@ -60,7 +52,6 @@ fn structure_digest_is_identical_across_thread_counts() {
 
 #[test]
 fn repeated_runs_reproduce_digest_and_counters() {
-    let _guard = PROF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let first = profiled_training(2);
     let second = profiled_training(2);
     // The digest covers counter *values* too (cache hits, NNLS

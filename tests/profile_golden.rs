@@ -8,7 +8,7 @@
 //! a behavior change, not noise.
 
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainingConfig};
-use juggler_suite::obs::prof::profiler;
+use juggler_suite::obs::Scope;
 use juggler_suite::workloads::{LogisticRegression, Workload};
 
 fn golden_path() -> std::path::PathBuf {
@@ -24,15 +24,13 @@ fn render_structure() -> String {
         threads: 1,
         ..TrainingConfig::default()
     };
-    let prof = profiler();
-    prof.set_enabled(false);
-    prof.reset();
-    prof.enable();
+    let scope = Scope::profiling();
+    let installed = scope.install();
     let trained = OfflineTraining::run(&w, &config).expect("training succeeds");
     let paper = w.paper_params();
     let menu = trained.recommend(paper.e(), paper.f());
-    let profile = prof.take_profile();
-    prof.set_enabled(false);
+    drop(installed);
+    let profile = scope.profiler().take_profile();
     assert!(!menu.options.is_empty(), "menu must not be empty");
     profile.render_structure()
 }
