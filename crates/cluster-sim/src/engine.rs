@@ -17,7 +17,7 @@ use crate::eviction::DatasetHints;
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::{ChaosState, FaultSummary};
 use crate::memory::{BlockLayout, BlockStore};
-use crate::report::{CacheStats, RunReport, StageTiming};
+use crate::report::{CacheStats, ContentionSummary, RunReport, StageTiming, TaskTrace};
 use crate::rng::TaskNoise;
 use crate::task::{Sizing, TaskEnv};
 use crate::trace::{TraceConfig, TraceCounters, TraceRecorder};
@@ -36,17 +36,9 @@ pub struct RunOptions {
     pub trace: TraceConfig,
 }
 
-/// Cumulative run-wide counters for a trace snapshot: cache behaviour
-/// summed over every dataset, plus executor-level spill/locality tallies.
-/// Sums are order-independent, so snapshots are deterministic regardless
-/// of `HashMap` iteration order.
 /// Feeds one finished run's counters into the metrics registry of the
 /// current `obs::Scope`. A single branch when none records (the default).
-pub(crate) fn record_run_metrics(
-    counters: &TraceCounters,
-    total_tasks: u64,
-    faults: &FaultSummary,
-) {
+fn record_run_metrics(counters: &TraceCounters, total_tasks: u64, faults: &FaultSummary) {
     let reg = obs::registry();
     if !reg.enabled() {
         return;
@@ -142,11 +134,12 @@ pub(crate) fn record_run_metrics(
     }
 }
 
-pub(crate) fn gather_counters(
-    store: &BlockStore,
-    state: &ExecutorState,
-    chaos: &ChaosState,
-) -> TraceCounters {
+/// Cumulative run-wide counters for a trace snapshot: cache behaviour
+/// summed over the store's statistics view (the whole store, or in a
+/// multi-tenant run the active tenant's datasets), plus executor-level
+/// spill/locality tallies. Sums are order-independent, so snapshots are
+/// deterministic regardless of `HashMap` iteration order.
+fn gather_counters(store: &BlockStore, state: &ExecutorState, chaos: &ChaosState) -> TraceCounters {
     let (task_retries, speculative_tasks, blacklisted_machines) = chaos.counter_snapshot();
     let mut c = TraceCounters {
         spills: state.spilled_tasks,
@@ -177,14 +170,14 @@ pub(crate) fn gather_counters(
 pub struct EnginePrep {
     /// `job_uses[d]` — jobs whose DAG contains dataset `d`, for the
     /// DAG-aware eviction policies' hints.
-    pub(crate) job_uses: Vec<Vec<usize>>,
+    job_uses: Vec<Vec<usize>>,
     /// One stage plan per job, in job order.
-    pub(crate) plans: Vec<StagePlan>,
+    plans: Vec<StagePlan>,
     /// `consumers[ji][sp]` — for stage position `sp` of job `ji`, the
     /// statically possible shuffle consumers as `(consumer_stage_index,
     /// wide_dataset)` pairs, in the order the per-stage scan used to
     /// produce them. Runs filter by their `needed` set at job time.
-    pub(crate) consumers: Vec<Vec<Vec<(u32, DatasetId)>>>,
+    consumers: Vec<Vec<Vec<(u32, DatasetId)>>>,
     /// Dense `(dataset, partition)` interning for the block store.
     layout: Arc<BlockLayout>,
     /// Pool of per-run scratch (block store + executor state), returned at
@@ -280,7 +273,7 @@ fn job_uses(app: &Application) -> Vec<Vec<usize>> {
 /// The DAG-aware eviction hints of a dataset at the start of job `ji`:
 /// how many of its (ascending) job uses remain, and how many jobs away the
 /// next one is (`u32::MAX` when none).
-pub(crate) fn job_hints(uses: &[usize], ji: usize) -> DatasetHints {
+fn job_hints(uses: &[usize], ji: usize) -> DatasetHints {
     let k = uses.partition_point(|&u| u < ji);
     DatasetHints {
         remaining_refs: (uses.len() - k) as u64,
@@ -350,7 +343,7 @@ impl<'a> Engine<'a> {
     /// already hold an [`Arc<Schedule>`] should prefer [`Engine::run_shared`],
     /// which only bumps the reference count.
     pub fn run(&self, schedule: &Schedule, options: RunOptions) -> Result<RunReport, DagError> {
-        self.run_inner(schedule, None, options)
+        self.run_shared(&Arc::new(schedule.clone()), options)
     }
 
     /// Like [`Engine::run`] but for a shared schedule: the report's
@@ -360,26 +353,123 @@ impl<'a> Engine<'a> {
         schedule: &Arc<Schedule>,
         options: RunOptions,
     ) -> Result<RunReport, DagError> {
-        self.run_inner(schedule, Some(schedule), options)
-    }
-
-    fn run_inner(
-        &self,
-        schedule: &Schedule,
-        shared: Option<&Arc<Schedule>>,
-        options: RunOptions,
-    ) -> Result<RunReport, DagError> {
         self.app.check_schedule(schedule)?;
         // Phase profiling: one `sim` span per run, with coarse sub-phases
         // (fault boundary, stage execution). Deliberately not per-task —
         // the per-run granularity keeps armed-idle overhead inside the
         // profiler's <5% budget even on thousand-cell training grids.
         let _prof = obs::prof::scope("sim");
-        let machines = self.cluster.machines.max(1);
+        // Per-run mutable state comes from the prep's scratch pool when a
+        // previous run returned one (reset to pristine before use), so
+        // repeated runs — above all the training fan-out's grid cells —
+        // skip the block-store and executor allocations entirely.
+        let pooled = self
+            .prep
+            .scratch
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .pop();
+        let (mut store, state) = match pooled {
+            Some(RunScratch { mut store, state }) => {
+                store.reset_for(&self.cluster, self.params.eviction_policy);
+                (store, Some(state))
+            }
+            None => (
+                BlockStore::with_policy(
+                    &self.cluster,
+                    Arc::clone(&self.prep.layout),
+                    self.params.eviction_policy,
+                ),
+                None,
+            ),
+        };
+        let mut run = AppRun::new(
+            self.app,
+            &self.prep,
+            &self.params,
+            Arc::clone(schedule),
+            &self.cluster,
+            options,
+            state,
+        );
+        let mut scratch = JobScratch::default();
+        while !run.done() {
+            run.step_job(&mut store, &self.cluster, 0.0, &mut scratch);
+        }
+        let (report, state) = run.finish(&mut store);
+        // Return the run's mutable state to the pool (bounded so a pile of
+        // one-shot engines cannot hoard memory).
+        let mut pool = self
+            .prep
+            .scratch
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if pool.len() < 32 {
+            pool.push(RunScratch { store, state });
+        }
+        Ok(report)
+    }
+}
 
-        // Unpack the schedule: active persist set plus u(X)-before-p(Y)
-        // swap pairs.
-        let mut persisted = vec![false; self.app.dataset_count()];
+/// Scratch buffers of the job step, reused across jobs, stages and (in a
+/// multi-tenant run, whose loop is strictly serial) tenants.
+#[derive(Debug, Default)]
+pub(crate) struct JobScratch {
+    /// Per-job hit/miss snapshot of the persisted datasets.
+    before: Vec<(u64, u64)>,
+    consumers: Vec<DatasetId>,
+    needed: Vec<bool>,
+    stage_stack: Vec<usize>,
+}
+
+/// One application's run in progress: everything the job loop keeps
+/// between jobs. Both schedulers drive it — [`Engine::run`] steps one
+/// application to completion on its own store, and
+/// [`crate::tenant::TenantSet`] interleaves several over a shared store,
+/// one job at a time — so a job executes the same way under both.
+pub(crate) struct AppRun<'a> {
+    app: &'a Application,
+    prep: &'a EnginePrep,
+    params: &'a SimParams,
+    schedule: Arc<Schedule>,
+    machines: u32,
+    collect_traces: bool,
+    /// The schedule unpacked: active persist set plus u(X)-before-p(Y)
+    /// swap pairs.
+    persisted: Vec<bool>,
+    swap: HashMap<DatasetId, DatasetId>,
+    /// Persisted datasets in id order — the only possible eviction
+    /// victims, whose DAG-aware hints are refreshed every job from
+    /// `prep.job_uses`.
+    persisted_ids: Vec<DatasetId>,
+    sizing: Sizing,
+    pub(crate) state: ExecutorState,
+    chaos: ChaosState,
+    /// Local clock: seconds since the application started.
+    pub(crate) now: f64,
+    next_job: usize,
+    job_times: Vec<f64>,
+    per_job_cache: Vec<Vec<(DatasetId, u64, u64)>>,
+    stage_times: Vec<StageTiming>,
+    traces: Vec<TaskTrace>,
+    recorder: TraceRecorder,
+}
+
+impl<'a> AppRun<'a> {
+    /// Starts a run of `app` (whose `schedule` the caller has checked) on
+    /// `cluster`. `pooled` is executor state returned by an earlier run,
+    /// reset here to exactly what a fresh one would be.
+    pub(crate) fn new(
+        app: &'a Application,
+        prep: &'a EnginePrep,
+        params: &'a SimParams,
+        schedule: Arc<Schedule>,
+        cluster: &ClusterConfig,
+        options: RunOptions,
+        pooled: Option<ExecutorState>,
+    ) -> Self {
+        let machines = cluster.machines.max(1);
+        let mut persisted = vec![false; app.dataset_count()];
         let mut swap: HashMap<DatasetId, DatasetId> = HashMap::new();
         let mut pending_unpersist: Option<DatasetId> = None;
         for op in schedule.ops() {
@@ -393,173 +483,182 @@ impl<'a> Engine<'a> {
                 ScheduleOp::Unpersist(d) => pending_unpersist = Some(d),
             }
         }
-
-        // Per-run mutable state comes from the prep's scratch pool when a
-        // previous run returned one (reset to pristine before use), so
-        // repeated runs — above all the training fan-out's grid cells —
-        // skip the block-store and executor allocations entirely.
-        let mut noise = TaskNoise::new(self.params.seed, self.params.noise);
-        // Absolute cluster-dynamics jitter: drawn once per run (container
-        // provisioning, JVM warm-up), dominating short sample runs.
-        let startup_jitter = noise.uniform() * self.params.cluster_jitter_s;
-        let pooled = self
-            .prep
-            .scratch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop();
-        let (mut store, mut state) = match pooled {
-            Some(RunScratch {
-                mut store,
-                mut state,
-            }) => {
-                store.reset_for(&self.cluster, self.params.eviction_policy);
-                state.reset(machines, self.cluster.spec.cores, noise);
-                (store, state)
-            }
-            None => (
-                BlockStore::with_policy(
-                    &self.cluster,
-                    Arc::clone(&self.prep.layout),
-                    self.params.eviction_policy,
-                ),
-                ExecutorState::new(machines, self.cluster.spec.cores, noise),
-            ),
-        };
-        // Per-dataset job-use lists for the DAG-aware eviction policies'
-        // hints (only persisted datasets can ever be victims); the lists
-        // themselves are precomputed in `EnginePrep`.
-        let job_uses: Vec<(DatasetId, &[usize])> = (0..self.app.dataset_count() as u32)
+        let persisted_ids = (0..app.dataset_count() as u32)
             .map(DatasetId)
             .filter(|d| persisted[d.index()])
-            .map(|d| (d, self.prep.job_uses[d.index()].as_slice()))
             .collect();
+        let mut noise = TaskNoise::new(params.seed, params.noise);
+        // Absolute cluster-dynamics jitter: drawn once per run (container
+        // provisioning, JVM warm-up), dominating short sample runs.
+        let startup_jitter = noise.uniform() * params.cluster_jitter_s;
+        let state = match pooled {
+            Some(mut state) => {
+                state.reset(machines, cluster.spec.cores, noise);
+                state
+            }
+            None => ExecutorState::new(machines, cluster.spec.cores, noise),
+        };
+        AppRun {
+            app,
+            prep,
+            params,
+            schedule,
+            machines,
+            collect_traces: options.collect_traces,
+            persisted,
+            swap,
+            persisted_ids,
+            sizing: Sizing::new(app, options.partition_skew),
+            state,
+            chaos: ChaosState::new(&params.faults, params.retry, machines as usize),
+            now: params.app_startup_s + startup_jitter,
+            next_job: 0,
+            job_times: Vec::with_capacity(app.jobs().len()),
+            per_job_cache: Vec::with_capacity(app.jobs().len()),
+            stage_times: Vec::new(),
+            traces: Vec::new(),
+            recorder: TraceRecorder::new(options.trace),
+        }
+    }
+
+    /// Whether every job has run.
+    pub(crate) fn done(&self) -> bool {
+        self.next_job == self.app.jobs().len()
+    }
+
+    /// Runs the next job on `cluster` (whose core width a multi-tenant
+    /// run narrows to the tenant's FAIR share). `clock_offset` maps the
+    /// local clock onto the store's simulation clock: the tenant's
+    /// arrival, zero for a lone application.
+    pub(crate) fn step_job(
+        &mut self,
+        store: &mut BlockStore,
+        cluster: &ClusterConfig,
+        clock_offset: f64,
+        scratch: &mut JobScratch,
+    ) {
+        let ji = self.next_job;
+        let job = JobId(ji as u32);
+        let job_start = self.now;
+        store.set_sim_now(clock_offset + job_start);
+        // Boundary fault events (executor loss, memory pressure) due at
+        // this job start take effect now; events scheduled after the last
+        // boundary are reported as "not fired" in the summary instead of
+        // being silently dropped.
+        {
+            let _prof = obs::prof::scope("faults");
+            self.chaos.fire_due(self.now, store, &mut self.state);
+        }
+        // Refresh DAG-aware eviction hints: remaining references and
+        // next-use distance from this job onward. Every persisted dataset
+        // (the only possible victims) gets rewritten each job, so stale
+        // hints cannot leak across jobs.
+        let prep = self.prep;
+        for &d in &self.persisted_ids {
+            store.set_hint(d, job_hints(&prep.job_uses[d.index()], ji));
+        }
+        // Per-job hit/miss snapshot of the persisted datasets, aligned
+        // with `persisted_ids` (untouched datasets read as zero).
+        scratch.before.clear();
+        scratch.before.extend(self.persisted_ids.iter().map(|&d| {
+            store
+                .dataset_stats(d)
+                .map_or((0, 0), |s| (s.hits, s.misses))
+        }));
+
+        let plan = &prep.plans[ji];
+        needed_stages(
+            self.app,
+            plan,
+            &self.persisted,
+            store,
+            &mut scratch.needed,
+            &mut scratch.stage_stack,
+        );
         let env = TaskEnv {
             app: self.app,
-            cluster: &self.cluster,
-            params: &self.params,
-            persisted: &persisted,
-            swap: &swap,
-            sizing: Sizing::new(self.app, options.partition_skew),
-            trace: options.collect_traces,
+            cluster,
+            params: self.params,
+            persisted: &self.persisted,
+            swap: &self.swap,
+            sizing: &self.sizing,
+            trace: self.collect_traces,
         };
-
-        let mut now = self.params.app_startup_s + startup_jitter;
-        let mut job_times = Vec::with_capacity(self.app.jobs().len());
-        let mut per_job_cache = Vec::with_capacity(self.app.jobs().len());
-        let mut stage_times = Vec::new();
-        let mut traces = Vec::new();
-        let mut recorder = TraceRecorder::new(options.trace);
-
-        let mut chaos = ChaosState::new(&self.params.faults, self.params.retry, machines as usize);
-        // Scratch buffers reused across jobs/stages.
-        let mut before: Vec<(u64, u64)> = Vec::with_capacity(job_uses.len());
-        let mut consumers: Vec<DatasetId> = Vec::new();
-        let mut needed: Vec<bool> = Vec::new();
-        let mut stage_stack: Vec<usize> = Vec::new();
-        for ji in 0..self.app.jobs().len() {
-            let job = JobId(ji as u32);
-            let job_start = now;
-            // Boundary fault events (executor loss, memory pressure) due
-            // at this job start take effect now; events scheduled after
-            // the last boundary are reported as "not fired" in the
-            // summary instead of being silently dropped.
-            {
-                let _prof = obs::prof::scope("faults");
-                chaos.fire_due(now, &mut store, &mut state);
+        for (sp, stage) in plan.stages.iter().enumerate() {
+            if !scratch.needed[stage.id.index()] {
+                continue;
             }
-            // Refresh DAG-aware eviction hints: remaining references and
-            // next-use distance from this job onward. Every persisted
-            // dataset (the only possible victims) gets rewritten each job,
-            // so stale hints cannot leak across jobs.
-            for &(d, uses) in &job_uses {
-                store.set_hint(d, job_hints(uses, ji));
+            // Wide datasets of needed downstream stages that read this
+            // stage's output: the static table filtered by this run's
+            // `needed` set, in the order the per-stage scan produced.
+            scratch.consumers.clear();
+            scratch.consumers.extend(
+                prep.consumers[ji][sp]
+                    .iter()
+                    .filter(|&&(cs, _)| scratch.needed[cs as usize])
+                    .map(|&(_, w)| w),
+            );
+            let stage_start = self.now;
+            store.set_sim_now(clock_offset + stage_start);
+            let stage_prof = obs::prof::scope("stages");
+            self.now = run_stage(
+                &env,
+                store,
+                &mut self.state,
+                &mut self.chaos,
+                job,
+                stage,
+                &scratch.consumers,
+                self.now,
+                &mut self.traces,
+                &mut self.recorder,
+            );
+            drop(stage_prof);
+            self.stage_times.push(StageTiming {
+                job,
+                stage: stage.id,
+                start: stage_start,
+                finish: self.now,
+                tasks: stage.num_tasks,
+            });
+            if self.recorder.enabled() {
+                self.recorder
+                    .stage_span(job.0, stage.id.0, stage_start, self.now, stage.num_tasks);
+                self.recorder
+                    .counter_snapshot(self.now, gather_counters(store, &self.state, &self.chaos));
             }
-            // Per-job hit/miss snapshot of the persisted datasets, aligned
-            // with `job_uses` (untouched datasets read as zero, matching
-            // the old map's `unwrap_or((0, 0))`).
-            before.clear();
-            before.extend(job_uses.iter().map(|&(d, _)| {
+        }
+        // Serial driver work: job bookkeeping plus per-machine
+        // coordination (the area-B term), with a small absolute wobble
+        // from cluster dynamics.
+        self.now += self.params.driver_per_job_s
+            + self.params.driver_per_machine_s * f64::from(self.machines)
+            + self.state.noise.uniform() * self.params.cluster_jitter_s * 0.02;
+        self.job_times.push(self.now - job_start);
+        self.recorder.job_span(job.0, job_start, self.now);
+
+        // Per-job deltas over the persisted datasets that have stats, in
+        // dataset-id order (consumers look entries up by id, never by
+        // position).
+        let deltas: Vec<(DatasetId, u64, u64)> = self
+            .persisted_ids
+            .iter()
+            .zip(&scratch.before)
+            .filter_map(|(&d, &(h0, m0))| {
                 store
                     .dataset_stats(d)
-                    .map_or((0, 0), |s| (s.hits, s.misses))
-            }));
+                    .map(|s| (d, s.hits - h0, s.misses - m0))
+            })
+            .collect();
+        self.per_job_cache.push(deltas);
+        self.next_job += 1;
+    }
 
-            let plan = &self.prep.plans[ji];
-            needed_stages(
-                self.app,
-                plan,
-                &persisted,
-                &store,
-                &mut needed,
-                &mut stage_stack,
-            );
-            for (sp, stage) in plan.stages.iter().enumerate() {
-                if !needed[stage.id.index()] {
-                    continue;
-                }
-                // Wide datasets of needed downstream stages that read this
-                // stage's output: the static table filtered by this run's
-                // `needed` set, in the order the per-stage scan produced.
-                consumers.clear();
-                consumers.extend(
-                    self.prep.consumers[ji][sp]
-                        .iter()
-                        .filter(|&&(cs, _)| needed[cs as usize])
-                        .map(|&(_, w)| w),
-                );
-                let stage_start = now;
-                let stage_prof = obs::prof::scope("stages");
-                now = run_stage(
-                    &env,
-                    &mut store,
-                    &mut state,
-                    &mut chaos,
-                    job,
-                    stage,
-                    &consumers,
-                    now,
-                    &mut traces,
-                    &mut recorder,
-                );
-                drop(stage_prof);
-                stage_times.push(StageTiming {
-                    job,
-                    stage: stage.id,
-                    start: stage_start,
-                    finish: now,
-                    tasks: stage.num_tasks,
-                });
-                if recorder.enabled() {
-                    recorder.stage_span(job.0, stage.id.0, stage_start, now, stage.num_tasks);
-                    recorder.counter_snapshot(now, gather_counters(&store, &state, &chaos));
-                }
-            }
-            // Serial driver work: job bookkeeping plus per-machine
-            // coordination (the area-B term), with a small absolute wobble
-            // from cluster dynamics.
-            now += self.params.driver_per_job_s
-                + self.params.driver_per_machine_s * f64::from(machines)
-                + state.noise.uniform() * self.params.cluster_jitter_s * 0.02;
-            job_times.push(now - job_start);
-            recorder.job_span(job.0, job_start, now);
-
-            // Per-job deltas over the persisted datasets that have stats,
-            // in dataset-id order (the old map iteration was unordered;
-            // consumers look entries up by id, never by position).
-            let deltas: Vec<(DatasetId, u64, u64)> = job_uses
-                .iter()
-                .zip(&before)
-                .filter_map(|(&(d, _), &(h0, m0))| {
-                    store
-                        .dataset_stats(d)
-                        .map(|s| (d, s.hits - h0, s.misses - m0))
-                })
-                .collect();
-            per_job_cache.push(deltas);
-        }
-
-        let final_counters = gather_counters(&store, &state, &chaos);
+    /// Ends the run: assembles its report from the store's statistics
+    /// view and hands back the executor state for reuse. The report's
+    /// contention summary is quiet; a multi-tenant caller fills it in.
+    pub(crate) fn finish(self, store: &mut BlockStore) -> (RunReport, ExecutorState) {
+        let final_counters = gather_counters(store, &self.state, &self.chaos);
         // Per-run counter deltas attributed to the `sim` node — applied
         // once per run from the aggregate snapshot (never per task), and
         // zero-gated so fault-free profiles show only the counters that
@@ -577,45 +676,32 @@ impl<'a> Engine<'a> {
                 obs::prof::count(name, value);
             }
         }
-        let faults = chaos.finish(now);
-        record_run_metrics(&final_counters, state.total_tasks, &faults);
-        let trace = recorder.finish(final_counters);
+        let faults = self.chaos.finish(self.now);
+        record_run_metrics(&final_counters, self.state.total_tasks, &faults);
+        let trace = self.recorder.finish(final_counters);
         let cache = CacheStats {
             peak_storage_bytes: store.peak_storage(),
             peak_exec_bytes: store.peak_exec(),
             per_dataset: store.take_stats(),
         };
-        let (spilled_tasks, total_tasks, task_attempts) =
-            (state.spilled_tasks, state.total_tasks, state.task_attempts);
-        // Return the run's mutable state to the pool (bounded so a pile of
-        // one-shot engines cannot hoard memory).
-        {
-            let mut pool = self
-                .prep
-                .scratch
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if pool.len() < 32 {
-                pool.push(RunScratch { store, state });
-            }
-        }
-        Ok(RunReport {
+        let report = RunReport {
             app: self.app.name().to_owned(),
-            schedule: shared.map_or_else(|| Arc::new(schedule.clone()), Arc::clone),
-            machines,
-            total_time_s: now,
-            job_times_s: job_times,
+            schedule: self.schedule,
+            machines: self.machines,
+            total_time_s: self.now,
+            job_times_s: self.job_times,
             cache,
-            per_job_cache,
-            stage_times,
-            traces,
+            per_job_cache: self.per_job_cache,
+            stage_times: self.stage_times,
+            traces: self.traces,
             trace,
-            spilled_tasks,
-            total_tasks,
-            task_attempts,
+            spilled_tasks: self.state.spilled_tasks,
+            total_tasks: self.state.total_tasks,
+            task_attempts: self.state.task_attempts,
             faults,
-            contention: crate::report::ContentionSummary::default(),
-        })
+            contention: ContentionSummary::default(),
+        };
+        (report, self.state)
     }
 }
 
@@ -623,7 +709,7 @@ impl<'a> Engine<'a> {
 /// residency: the result stage always runs; a map stage is skipped when
 /// every wide dataset consuming it is fully resident (Spark would read the
 /// cached blocks and skip the parent stages entirely).
-pub(crate) fn needed_stages(
+fn needed_stages(
     app: &Application,
     plan: &StagePlan,
     persisted: &[bool],

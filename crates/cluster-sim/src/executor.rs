@@ -678,7 +678,7 @@ mod tests {
                 params: &params,
                 persisted: &persisted,
                 swap: &swap,
-                sizing: Sizing::new(&app, 0.0),
+                sizing: &Sizing::new(&app, 0.0),
                 trace: false,
             };
             let mut store = store_for(&app, &cluster);
@@ -725,7 +725,7 @@ mod tests {
             params: &params,
             persisted: &persisted,
             swap: &swap,
-            sizing: Sizing::new(&app, 0.0),
+            sizing: &Sizing::new(&app, 0.0),
             trace: true,
         };
         let mut store = store_for(&app, &cluster);
@@ -794,7 +794,7 @@ mod tests {
             params: &params,
             persisted: &persisted,
             swap: &swap,
-            sizing: Sizing::new(&app, 0.3),
+            sizing: &Sizing::new(&app, 0.3),
             trace: true,
         };
         let mut store = store_for(&app, &cluster);
@@ -843,7 +843,7 @@ mod tests {
             params: &params,
             persisted: &persisted,
             swap: &swap,
-            sizing: Sizing::new(&app, 0.0),
+            sizing: &Sizing::new(&app, 0.0),
             trace: false,
         };
         let mut store = store_for(&app, &cluster);

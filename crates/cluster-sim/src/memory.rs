@@ -333,22 +333,6 @@ impl BlockStore {
         (suffered, t.inflicted[tenant], half_life)
     }
 
-    /// Clones the touched statistics of one tenant's datasets, keyed by
-    /// the tenant's *local* dataset ids — the per-tenant analogue of
-    /// [`BlockStore::take_stats`], taken at the tenant's completion so
-    /// later tenants' activity cannot leak in.
-    #[must_use]
-    pub fn tenant_stats(&self, tenant: usize) -> HashMap<DatasetId, DatasetCacheStats> {
-        let Some(t) = self.tenancy.as_deref() else {
-            return HashMap::new();
-        };
-        let (lo, hi) = (t.base[tenant] as usize, t.base[tenant + 1] as usize);
-        (lo..hi)
-            .filter(|&g| self.touched[g])
-            .map(|g| (DatasetId((g - lo) as u32), self.stats[g].clone()))
-            .collect()
-    }
-
     /// Shifts a tenant-local dataset id into the combined layout's id
     /// space; the identity outside tenancy.
     #[inline]
@@ -655,13 +639,16 @@ impl BlockStore {
     }
 
     /// Iterates the statistics of every touched dataset, in dataset-id
-    /// order.
+    /// order. In a multi-tenant store this is the active tenant's view:
+    /// its datasets only, keyed by its local ids.
     pub fn touched_stats(&self) -> impl Iterator<Item = (DatasetId, &DatasetCacheStats)> {
-        self.stats
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.touched[i])
-            .map(|(i, s)| (DatasetId(i as u32), s))
+        let (lo, hi) = match self.tenancy.as_deref() {
+            Some(t) => (t.base[t.active] as usize, t.base[t.active + 1] as usize),
+            None => (0, self.stats.len()),
+        };
+        (lo..hi)
+            .filter(|&g| self.touched[g])
+            .map(move |g| (DatasetId((g - lo) as u32), &self.stats[g]))
     }
 
     /// Final per-dataset statistics (drained): exactly the datasets that
@@ -674,8 +661,14 @@ impl BlockStore {
     /// Moves the touched-dataset statistics out without consuming the
     /// store, leaving `stats` empty. Used by the engine's run-scratch
     /// pool: the store goes back to the pool and [`BlockStore::reset_for`]
-    /// rebuilds the vector on next use.
+    /// rebuilds the vector on next use. A multi-tenant store instead
+    /// clones the active tenant's view ([`BlockStore::touched_stats`]),
+    /// taken at the tenant's completion so later tenants' activity cannot
+    /// leak in; the pool keeps serving the others.
     pub fn take_stats(&mut self) -> HashMap<DatasetId, DatasetCacheStats> {
+        if self.tenancy.is_some() {
+            return self.touched_stats().map(|(d, s)| (d, s.clone())).collect();
+        }
         std::mem::take(&mut self.stats)
             .into_iter()
             .enumerate()
@@ -933,13 +926,16 @@ mod tests {
         s.set_active_tenant(0);
         assert_eq!(s.residency(D_A, 3), Some(0));
         assert_eq!(s.resident_count(D_A), 1);
-        // Per-tenant stats come back in local id space.
-        let t1 = s.tenant_stats(1);
-        assert_eq!(t1.len(), 1);
-        assert_eq!(t1.get(&DatasetId(0)).unwrap().resident_partitions, 1);
-        let t0 = s.tenant_stats(0);
+        // The active tenant's stats view comes back in local id space,
+        // and taking it leaves the other tenants' statistics in place.
+        let t0 = s.take_stats();
         assert!(t0.contains_key(&D_A));
         assert!(!t0.contains_key(&DatasetId(2)), "local ids only");
+        s.set_active_tenant(1);
+        let t1 = s.take_stats();
+        assert_eq!(t1.len(), 1);
+        assert_eq!(t1.get(&DatasetId(0)).unwrap().resident_partitions, 1);
+        assert_eq!(s.take_stats(), t1, "a multi-tenant take is a clone");
     }
 
     #[test]

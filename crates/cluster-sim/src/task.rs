@@ -112,7 +112,7 @@ pub struct TaskEnv<'a> {
     /// `swap[y] = x` when the schedule says `u(x)` right before `p(y)`.
     pub swap: &'a HashMap<DatasetId, DatasetId>,
     /// Sizing (skew) helper.
-    pub sizing: Sizing,
+    pub sizing: &'a Sizing,
     /// Whether to record pipeline steps.
     pub trace: bool,
 }
@@ -537,6 +537,7 @@ mod tests {
         params: &'a SimParams,
         persisted: &'a [bool],
         swap: &'a HashMap<DatasetId, DatasetId>,
+        sizing: &'a Sizing,
     ) -> TaskEnv<'a> {
         TaskEnv {
             app,
@@ -544,7 +545,7 @@ mod tests {
             params,
             persisted,
             swap,
-            sizing: Sizing::new(app, 0.0),
+            sizing,
             trace: true,
         }
     }
@@ -676,7 +677,8 @@ mod tests {
         let (app, cluster, params) = env_fixture();
         let persisted = vec![false; app.dataset_count()];
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let walk = walk(&env, &mut store, 0, DatasetId(1), 0, &[DatasetId(2)]);
         // Steps: SourceRead(in), Compute(parsed), ShuffleWrite(agg).
@@ -711,7 +713,8 @@ mod tests {
         let mut persisted = vec![false; app.dataset_count()];
         persisted[1] = true; // persist "parsed"
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let first = walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert_eq!(store.resident_count(DatasetId(1)), 1);
@@ -735,7 +738,8 @@ mod tests {
         let mut persisted = vec![false; app.dataset_count()];
         persisted[1] = true;
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         let local = walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
@@ -748,7 +752,8 @@ mod tests {
         let (app, cluster, params) = env_fixture();
         let persisted = vec![false; app.dataset_count()];
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let walk = walk(&env, &mut store, 0, DatasetId(2), 0, &[]);
         assert_eq!(walk.steps.len(), 1);
@@ -794,7 +799,8 @@ mod tests {
         persisted[y.index()] = true;
         let mut swap = HashMap::new();
         swap.insert(y, x);
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         // Materialize and cache all of X first.
         for p in 0..4 {
@@ -824,7 +830,8 @@ mod tests {
         let (app, cluster, params) = env_fixture();
         let persisted = vec![false; app.dataset_count()];
         let swap = HashMap::new();
-        let mut env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let mut env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         env.trace = false;
         let mut store = store_for(&app, &cluster);
         let walk = walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
@@ -885,7 +892,8 @@ mod tests {
         };
 
         let persisted = vec![false; app.dataset_count()];
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let w = walk(&env, &mut store, 0, z, 0, &[]);
         use StepKind::{CacheRead, Compute, SourceRead};
@@ -904,7 +912,8 @@ mod tests {
 
         let mut persisted = vec![false; app.dataset_count()];
         persisted[a.index()] = true;
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let w = walk(&env, &mut store, 0, z, 0, &[]);
         assert_eq!(
@@ -1087,7 +1096,7 @@ mod tests {
                 params: &params,
                 persisted: &persisted,
                 swap: &swap,
-                sizing: Sizing::new(&app, if skewed { 0.2 } else { 0.0 }),
+                sizing: &Sizing::new(&app, if skewed { 0.2 } else { 0.0 }),
                 trace: traced,
             };
             let policy = crate::eviction::EvictionPolicyKind::all()[policy];

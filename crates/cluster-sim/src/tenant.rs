@@ -8,7 +8,7 @@
 //! changing *nothing* about the single-app hot path:
 //!
 //! - **FAIR slot sharing.** Each tenant runs its jobs against a private
-//!   [`ExecutorState`] whose core grid is resized at job boundaries to
+//!   [`crate::executor::ExecutorState`] whose core grid is resized at job boundaries to
 //!   `max(1, ⌊cores × w_t / Σ w⌋)` over the tenants present (arrived,
 //!   unfinished, weight > 0). The per-task execution-memory grant divides
 //!   by the share, so a squeezed tenant runs fewer, hungrier tasks — the
@@ -26,26 +26,26 @@
 //!   All *reported* times stay on each tenant's own clock (seconds since
 //!   its arrival), which keeps a lone active tenant byte-identical to a
 //!   plain [`Engine::run`] of the same configuration.
+//! - **One job step.** Each tenant is a `crate::engine::AppRun`, the
+//!   per-application run state [`Engine::run`] itself drives; a tenant's
+//!   job is that same step, run against the shared store on the tenant's
+//!   FAIR-narrowed cluster. This module adds only what tenancy needs: the
+//!   concatenated layout, the choice of the next tenant, the slot share,
+//!   the contention summary, placeholders for weightless tenants, and
+//!   dropping a departed tenant's blocks.
 //!
 //! Per-tenant fault plans ([`crate::fault::FaultPlan`] in each tenant's
 //! [`SimParams`]) fire on the tenant's own timeline, so every tenancy
 //! scenario composes with chaos coverage for free.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use dagflow::{Application, DagError, DatasetId, JobId, Schedule, ScheduleOp};
+use dagflow::{Application, DagError, DatasetId, Schedule};
 
 use crate::config::{ClusterConfig, SimParams};
-use crate::engine::{job_hints, needed_stages, record_run_metrics, RunOptions};
-use crate::engine::{Engine, EnginePrep};
-use crate::executor::{run_stage, ExecutorState};
-use crate::fault::ChaosState;
+use crate::engine::{AppRun, Engine, EnginePrep, JobScratch, RunOptions};
 use crate::memory::{BlockLayout, BlockStore};
-use crate::report::{CacheStats, ContentionSummary, RunReport, StageTiming};
-use crate::rng::TaskNoise;
-use crate::task::{Sizing, TaskEnv};
-use crate::trace::{TraceCounters, TraceRecorder};
+use crate::report::{CacheStats, ContentionSummary, RunReport};
 
 /// One application in a [`TenantSet`]: what to run, when it arrives, and
 /// its FAIR scheduling weight.
@@ -127,30 +127,6 @@ impl TenancyReport {
     }
 }
 
-/// Per-tenant mutable run state, mirroring what [`Engine::run`] keeps on
-/// its stack for a single application.
-struct TenantRun {
-    prep: Arc<EnginePrep>,
-    persisted: Vec<bool>,
-    swap: HashMap<DatasetId, DatasetId>,
-    /// Persisted datasets and their job-use lists, for the eviction
-    /// hints (local ids; the store shifts them).
-    uses: Vec<(DatasetId, Vec<usize>)>,
-    sizing: Sizing,
-    state: ExecutorState,
-    chaos: ChaosState,
-    /// Tenant-local clock: seconds since this tenant's arrival.
-    now: f64,
-    next_job: usize,
-    cur_cores: u32,
-    job_times: Vec<f64>,
-    per_job_cache: Vec<Vec<(DatasetId, u64, u64)>>,
-    stage_times: Vec<StageTiming>,
-    traces: Vec<crate::report::TaskTrace>,
-    recorder: TraceRecorder,
-    report: Option<RunReport>,
-}
-
 impl<'a> TenantSet<'a> {
     /// Runs every tenant to completion on the shared cluster.
     ///
@@ -207,77 +183,50 @@ impl<'a> TenantSet<'a> {
         );
         store.enable_tenancy(base);
 
-        let mut runs: Vec<TenantRun> = Vec::with_capacity(n);
-        for t in &self.tenants {
-            let mut persisted = vec![false; t.app.dataset_count()];
-            let mut swap: HashMap<DatasetId, DatasetId> = HashMap::new();
-            let mut pending_unpersist: Option<DatasetId> = None;
-            for op in t.schedule.ops() {
-                match *op {
-                    ScheduleOp::Persist(d) => {
-                        persisted[d.index()] = true;
-                        if let Some(x) = pending_unpersist.take() {
-                            swap.insert(d, x);
-                        }
-                    }
-                    ScheduleOp::Unpersist(d) => pending_unpersist = Some(d),
-                }
-            }
-            let prep = Arc::new(EnginePrep::new(t.app));
-            let uses: Vec<(DatasetId, Vec<usize>)> = (0..t.app.dataset_count() as u32)
-                .map(DatasetId)
-                .filter(|d| persisted[d.index()])
-                .map(|d| (d, prep.job_uses[d.index()].clone()))
-                .collect();
-            let mut noise = TaskNoise::new(t.params.seed, t.params.noise);
-            let startup_jitter = noise.uniform() * t.params.cluster_jitter_s;
-            let state = ExecutorState::new(machines, full_cores, noise);
-            let chaos = ChaosState::new(&t.params.faults, t.params.retry, machines as usize);
-            runs.push(TenantRun {
-                prep,
-                persisted,
-                swap,
-                uses,
-                sizing: Sizing::new(t.app, options.partition_skew),
-                state,
-                chaos,
-                now: t.params.app_startup_s + startup_jitter,
-                next_job: 0,
-                cur_cores: full_cores,
-                job_times: Vec::with_capacity(t.app.jobs().len()),
-                per_job_cache: Vec::with_capacity(t.app.jobs().len()),
-                stage_times: Vec::new(),
-                traces: Vec::new(),
-                recorder: TraceRecorder::new(options.trace),
-                report: None,
-            });
-        }
-
-        let active = |t: &Tenant<'a>| t.active();
-        let active_count = self.tenants.iter().filter(|t| active(t)).count();
-        // Inactive tenants finish immediately with a placeholder report.
-        for (ti, t) in self.tenants.iter().enumerate() {
-            if !active(t) {
-                runs[ti].report = Some(placeholder_report(t, ti, n, machines));
-            }
-        }
-
-        // Scratch shared across tenants (the loop is strictly serial).
-        let mut before: Vec<(u64, u64)> = Vec::new();
-        let mut consumers: Vec<DatasetId> = Vec::new();
-        let mut needed: Vec<bool> = Vec::new();
-        let mut stage_stack: Vec<usize> = Vec::new();
+        // `runs[t]` is `Some` while tenant t is active and unfinished;
+        // inactive tenants run nothing (no prep is built for them) and
+        // finish immediately with a placeholder report.
+        let preps: Vec<Option<EnginePrep>> = self
+            .tenants
+            .iter()
+            .map(|t| t.active().then(|| EnginePrep::new(t.app)))
+            .collect();
+        let mut runs: Vec<Option<AppRun<'_>>> = self
+            .tenants
+            .iter()
+            .zip(&preps)
+            .map(|(t, prep)| {
+                let prep = prep.as_ref()?;
+                let schedule = Arc::clone(&t.schedule);
+                Some(AppRun::new(
+                    t.app,
+                    prep,
+                    &t.params,
+                    schedule,
+                    &self.cluster,
+                    options,
+                    None,
+                ))
+            })
+            .collect();
+        let mut reports: Vec<Option<RunReport>> = self
+            .tenants
+            .iter()
+            .enumerate()
+            .map(|(ti, t)| (!t.active()).then(|| placeholder_report(t, ti, n, machines)))
+            .collect();
+        let active_count = runs.iter().filter(|r| r.is_some()).count();
+        let mut cur_cores = vec![full_cores; n];
+        let mut scratch = JobScratch::default();
         let mut makespan_s: f64 = 0.0;
 
         loop {
-            // Next tenant on the global clock: unfinished, active, min
+            // Next tenant on the global clock: running, min
             // `arrival + local now`; ties go to the lower index.
             let mut chosen: Option<(usize, f64)> = None;
-            for (ti, t) in self.tenants.iter().enumerate() {
-                if runs[ti].report.is_some() || !active(t) {
-                    continue;
-                }
-                let cursor = t.arrival_offset_s + runs[ti].now;
+            for (ti, (t, run)) in self.tenants.iter().zip(&runs).enumerate() {
+                let Some(run) = run else { continue };
+                let cursor = t.arrival_offset_s + run.now;
                 if chosen.is_none_or(|(_, c)| cursor < c) {
                     chosen = Some((ti, cursor));
                 }
@@ -287,23 +236,21 @@ impl<'a> TenantSet<'a> {
             };
             let tenant = &self.tenants[ti];
 
-            // FAIR share at this instant: tenants that have arrived by
-            // the chosen cursor, are active, and are unfinished.
+            // FAIR share at this instant: running tenants that have
+            // arrived by the chosen cursor.
             let present: f64 = self
                 .tenants
                 .iter()
-                .enumerate()
-                .filter(|&(i, t)| {
-                    active(t) && runs[i].report.is_none() && t.arrival_offset_s <= global_now
-                })
-                .map(|(_, t)| t.weight)
+                .zip(&runs)
+                .filter(|(t, run)| run.is_some() && t.arrival_offset_s <= global_now)
+                .map(|(t, _)| t.weight)
                 .sum();
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let share = ((f64::from(full_cores) * tenant.weight / present).floor() as u32).max(1);
-            let tr = &mut runs[ti];
-            if share != tr.cur_cores {
-                tr.state.resize_cores(machines, share);
-                tr.cur_cores = share;
+            let run = runs[ti].as_mut().expect("the chosen tenant is running");
+            if share != cur_cores[ti] {
+                run.state.resize_cores(machines, share);
+                cur_cores[ti] = share;
             }
             let tcluster = ClusterConfig::new(
                 machines,
@@ -312,245 +259,54 @@ impl<'a> TenantSet<'a> {
                     ..self.cluster.spec
                 },
             );
-
             store.set_active_tenant(ti);
-            store.set_sim_now(global_now);
-
-            // ---- One job, mirroring `Engine::run` body exactly. ----
-            let ji = tr.next_job;
-            let job = JobId(ji as u32);
-            let job_start = tr.now;
-            {
-                let _prof = obs::prof::scope("faults");
-                tr.chaos.fire_due(tr.now, &mut store, &mut tr.state);
+            run.step_job(&mut store, &tcluster, tenant.arrival_offset_s, &mut scratch);
+            if !run.done() {
+                continue;
             }
-            for (d, uses) in &tr.uses {
-                store.set_hint(*d, job_hints(uses, ji));
-            }
-            before.clear();
-            before.extend(tr.uses.iter().map(|(d, _)| {
-                store
-                    .dataset_stats(*d)
-                    .map_or((0, 0), |s| (s.hits, s.misses))
-            }));
 
-            let prep = Arc::clone(&tr.prep);
-            let plan = &prep.plans[ji];
-            needed_stages(
-                tenant.app,
-                plan,
-                &tr.persisted,
-                &store,
-                &mut needed,
-                &mut stage_stack,
-            );
-            let env = TaskEnv {
-                app: tenant.app,
-                cluster: &tcluster,
-                params: &tenant.params,
-                persisted: &tr.persisted,
-                swap: &tr.swap,
-                sizing: tr.sizing.clone(),
-                trace: options.collect_traces,
-            };
-            for (sp, stage) in plan.stages.iter().enumerate() {
-                if !needed[stage.id.index()] {
-                    continue;
-                }
-                consumers.clear();
-                consumers.extend(
-                    prep.consumers[ji][sp]
-                        .iter()
-                        .filter(|&&(cs, _)| needed[cs as usize])
-                        .map(|&(_, w)| w),
-                );
-                let stage_start = tr.now;
-                store.set_sim_now(tenant.arrival_offset_s + stage_start);
-                let stage_prof = obs::prof::scope("stages");
-                tr.now = run_stage(
-                    &env,
-                    &mut store,
-                    &mut tr.state,
-                    &mut tr.chaos,
-                    job,
-                    stage,
-                    &consumers,
-                    tr.now,
-                    &mut tr.traces,
-                    &mut tr.recorder,
-                );
-                drop(stage_prof);
-                tr.stage_times.push(StageTiming {
-                    job,
-                    stage: stage.id,
-                    start: stage_start,
-                    finish: tr.now,
-                    tasks: stage.num_tasks,
-                });
-                if tr.recorder.enabled() {
-                    tr.recorder
-                        .stage_span(job.0, stage.id.0, stage_start, tr.now, stage.num_tasks);
-                    tr.recorder.counter_snapshot(
-                        tr.now,
-                        tenant_counters(&store, ti, &tr.state, &tr.chaos),
-                    );
-                }
+            // Tenant finished: finalize its report *now*, so later
+            // tenants' activity cannot leak into its statistics.
+            let run = runs[ti].take().expect("the chosen tenant is running");
+            let (mut report, state) = run.finish(&mut store);
+            // A lone active tenant saw no contention-capable co-tenant:
+            // its summary stays quiet, so its digest matches the plain
+            // engine's.
+            if active_count >= 2 {
+                let (suffered, inflicted, half_life) = store.tenant_contention(ti);
+                report.contention = ContentionSummary {
+                    tenant: ti as u32,
+                    tenants: active_count as u32,
+                    weight: tenant.weight,
+                    arrival_offset_s: tenant.arrival_offset_s,
+                    slot_wait_s: state.slot_wait_s,
+                    cross_evictions_suffered: suffered,
+                    cross_evictions_inflicted: inflicted,
+                    residency_half_life_s: half_life,
+                };
             }
-            tr.now += tenant.params.driver_per_job_s
-                + tenant.params.driver_per_machine_s * f64::from(machines)
-                + tr.state.noise.uniform() * tenant.params.cluster_jitter_s * 0.02;
-            tr.job_times.push(tr.now - job_start);
-            tr.recorder.job_span(job.0, job_start, tr.now);
-            let deltas: Vec<(DatasetId, u64, u64)> = tr
-                .uses
-                .iter()
-                .zip(&before)
-                .filter_map(|((d, _), &(h0, m0))| {
-                    store
-                        .dataset_stats(*d)
-                        .map(|s| (*d, s.hits - h0, s.misses - m0))
-                })
-                .collect();
-            tr.per_job_cache.push(deltas);
-            tr.next_job += 1;
-
-            // ---- Tenant finished: finalize its report *now*, so later
-            // tenants' activity cannot leak into its statistics. ----
-            if tr.next_job == tenant.app.jobs().len() {
-                store.set_sim_now(tenant.arrival_offset_s + tr.now);
-                let report = finalize_tenant(tenant, ti, active_count, machines, tr, &store);
-                makespan_s = makespan_s.max(tenant.arrival_offset_s + report.total_time_s);
-                runs[ti].report = Some(report);
-                // The tenant's executors exit with it: its cached blocks
-                // leave the shared pool. A drop, not an eviction — the
-                // report snapshot above already captured its statistics,
-                // and departed tenants can no longer *suffer* evictions,
-                // which keeps `Σ suffered == Σ inflicted` exact.
-                for d in 0..tenant.app.dataset_count() as u32 {
-                    store.drop_dataset(DatasetId(d));
-                }
+            makespan_s = makespan_s.max(tenant.arrival_offset_s + report.total_time_s);
+            reports[ti] = Some(report);
+            // The tenant's executors exit with it: its cached blocks
+            // leave the shared pool. A drop, not an eviction — the
+            // report snapshot above already captured its statistics,
+            // and departed tenants can no longer *suffer* evictions,
+            // which keeps `Σ suffered == Σ inflicted` exact.
+            for d in 0..tenant.app.dataset_count() as u32 {
+                store.drop_dataset(DatasetId(d));
             }
         }
 
-        record_tenancy_metrics(&runs);
+        let reports: Vec<RunReport> = reports
+            .into_iter()
+            .map(|r| r.expect("every tenant finished"))
+            .collect();
+        record_tenancy_metrics(&reports);
         Ok(TenancyReport {
-            reports: runs
-                .into_iter()
-                .map(|r| r.report.expect("all ran"))
-                .collect(),
+            reports,
             makespan_s,
         })
     }
-}
-
-/// Assembles a finished tenant's [`RunReport`] from the shared store and
-/// the tenant's private state — the tail of [`Engine::run`], with
-/// per-tenant statistics cloned out of the pool instead of drained.
-fn finalize_tenant(
-    tenant: &Tenant<'_>,
-    ti: usize,
-    active_count: usize,
-    machines: u32,
-    tr: &mut TenantRun,
-    store: &BlockStore,
-) -> RunReport {
-    let final_counters = tenant_counters(store, ti, &tr.state, &tr.chaos);
-    for (value, name) in [
-        (final_counters.cache_hits, "cache_hits"),
-        (final_counters.cache_misses, "cache_misses"),
-        (final_counters.evictions, "evictions"),
-        (final_counters.spills, "spills"),
-        (final_counters.task_retries, "retries"),
-        (final_counters.speculative_tasks, "speculative"),
-    ] {
-        if value > 0 {
-            obs::prof::count(name, value);
-        }
-    }
-    let machines_usize = machines as usize;
-    let chaos = std::mem::replace(
-        &mut tr.chaos,
-        ChaosState::new(
-            &crate::fault::FaultPlan::default(),
-            tenant.params.retry,
-            machines_usize,
-        ),
-    );
-    let faults = chaos.finish(tr.now);
-    record_run_metrics(&final_counters, tr.state.total_tasks, &faults);
-    let recorder = std::mem::replace(
-        &mut tr.recorder,
-        TraceRecorder::new(crate::trace::TraceConfig::default()),
-    );
-    let trace = recorder.finish(final_counters);
-    let per_dataset = store.tenant_stats(ti);
-    let cache = CacheStats {
-        peak_storage_bytes: store.peak_storage(),
-        peak_exec_bytes: store.peak_exec(),
-        per_dataset,
-    };
-    // A lone active tenant saw no contention-capable co-tenant: its
-    // summary stays quiet, so its digest matches the plain engine's.
-    let contention = if active_count >= 2 {
-        let (suffered, inflicted, half_life) = store.tenant_contention(ti);
-        ContentionSummary {
-            tenant: ti as u32,
-            tenants: active_count as u32,
-            weight: tenant.weight,
-            arrival_offset_s: tenant.arrival_offset_s,
-            slot_wait_s: tr.state.slot_wait_s,
-            cross_evictions_suffered: suffered,
-            cross_evictions_inflicted: inflicted,
-            residency_half_life_s: half_life,
-        }
-    } else {
-        ContentionSummary::default()
-    };
-    RunReport {
-        app: tenant.app.name().to_owned(),
-        schedule: Arc::clone(&tenant.schedule),
-        machines,
-        total_time_s: tr.now,
-        job_times_s: std::mem::take(&mut tr.job_times),
-        cache,
-        per_job_cache: std::mem::take(&mut tr.per_job_cache),
-        stage_times: std::mem::take(&mut tr.stage_times),
-        traces: std::mem::take(&mut tr.traces),
-        trace,
-        spilled_tasks: tr.state.spilled_tasks,
-        total_tasks: tr.state.total_tasks,
-        task_attempts: tr.state.task_attempts,
-        faults,
-        contention,
-    }
-}
-
-/// Run-wide counters scoped to one tenant's datasets — the per-tenant
-/// analogue of the engine's `gather_counters`, which sums the whole
-/// (here: shared) store.
-fn tenant_counters(
-    store: &BlockStore,
-    tenant: usize,
-    state: &ExecutorState,
-    chaos: &ChaosState,
-) -> TraceCounters {
-    let (task_retries, speculative_tasks, blacklisted_machines) = chaos.counter_snapshot();
-    let mut c = TraceCounters {
-        spills: state.spilled_tasks,
-        locality_fallbacks: state.locality_fallbacks,
-        task_retries,
-        speculative_tasks,
-        blacklisted_machines,
-        ..TraceCounters::default()
-    };
-    for s in store.tenant_stats(tenant).values() {
-        c.cache_hits += s.hits;
-        c.cache_misses += s.misses;
-        c.evictions += s.evictions;
-        c.insert_failures += s.insert_failures;
-        c.unpersisted += s.unpersisted;
-    }
-    c
 }
 
 /// The empty report of an inactive (weight `≤ 0`) tenant: admitted,
@@ -584,7 +340,7 @@ fn placeholder_report(tenant: &Tenant<'_>, ti: usize, tenants: usize, machines: 
 }
 
 /// Zero-gated tenancy counters for the current `obs::Scope`'s registry.
-fn record_tenancy_metrics(runs: &[TenantRun]) {
+fn record_tenancy_metrics(reports: &[RunReport]) {
     let reg = obs::registry();
     if !reg.enabled() {
         return;
@@ -594,9 +350,8 @@ fn record_tenancy_metrics(runs: &[TenantRun]) {
         "multi-tenant simulations completed",
     )
     .inc();
-    let cross: u64 = runs
+    let cross: u64 = reports
         .iter()
-        .filter_map(|r| r.report.as_ref())
         .map(|r| r.contention.cross_evictions_inflicted)
         .sum();
     if cross > 0 {
@@ -606,11 +361,7 @@ fn record_tenancy_metrics(runs: &[TenantRun]) {
         )
         .add(cross);
     }
-    let waits: f64 = runs
-        .iter()
-        .filter_map(|r| r.report.as_ref())
-        .map(|r| r.contention.slot_wait_s)
-        .sum();
+    let waits: f64 = reports.iter().map(|r| r.contention.slot_wait_s).sum();
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let wait_ms = (waits * 1e3) as u64;
     if wait_ms > 0 {

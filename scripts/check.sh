@@ -17,8 +17,9 @@ cargo test -q --offline --workspace
 echo "== malformed inputs (release profile, whose panic=abort is what users run: bad input files exit 1 with an error) =="
 cargo test -q --offline --release --test malformed_inputs
 
-echo "== engine bit-identity (release profile, the fat-LTO build users and the benchmark run: golden run digests, compiled task walk vs the recursive oracle) =="
+echo "== engine bit-identity (release profile, the fat-LTO build users and the benchmark run: golden run digests, the interleaved tenant scheduler vs the plain engine, compiled task walk vs the recursive oracle) =="
 cargo test -q --offline --release --test engine_digests
+cargo test -q --offline --release --test tenants isolation
 cargo test -q --offline --release -p cluster-sim --lib task::
 
 echo "== clippy (deny warnings) =="

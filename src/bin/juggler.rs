@@ -37,6 +37,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
+    if let Err(e) = check_flags(command, rest) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     // Most commands either succeed or error; `runs diff` and
     // `perf-report` additionally signal drift/regression through their
     // exit code, so the dispatch carries an ExitCode.
@@ -183,6 +187,88 @@ JUGGLER_THREADS environment variable or the machine's parallelism;
 way. The default stores (results/runs/, results/profiles/,
 results/health/, and perf-report's results/) are relative to the
 working directory.";
+
+/// The flags each command accepts, as USAGE lists them: `(command,
+/// flags that take a value, switches)`. `runs` subcommands are keyed as
+/// `runs <sub>`.
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("list", &[], &[]),
+    ("train", &["--out", "--threads"], &[]),
+    ("train-all", &["--out-dir", "--threads"], &[]),
+    ("recommend", &["-e", "-f", "--ram-gb"], &[]),
+    ("schedules", &[], &[]),
+    ("sweep", &["--schedule", "--ops"], &[]),
+    ("dot", &["--schedule"], &[]),
+    (
+        "trace",
+        &[
+            "--machines",
+            "--width",
+            "--format",
+            "--out",
+            "--jsonl",
+            "--threads",
+        ],
+        &["--no-pipeline"],
+    ),
+    (
+        "profile",
+        &["--format", "--diff", "--store", "--threads"],
+        &[],
+    ),
+    ("doctor", &["--threads", "--format"], &["--timings"]),
+    ("chaos", &["--plan", "--machines", "--seed"], &[]),
+    ("tenants", &[], &[]),
+    (
+        "metrics",
+        &["--format", "--output", "--threads"],
+        &["--timings"],
+    ),
+    ("runs record", &["--threads", "--store"], &[]),
+    ("runs list", &["--store", "--workload", "--limit"], &[]),
+    ("runs show", &["--store"], &[]),
+    ("runs diff", &["--store", "--tol-coeff", "--tol-pred"], &[]),
+    (
+        "health",
+        &[
+            "--slo",
+            "--format",
+            "--since",
+            "--limit",
+            "--store",
+            "--report-store",
+        ],
+        &[],
+    ),
+    ("watch", &["--slo", "--store"], &[]),
+    (
+        "perf-report",
+        &["--results", "--baselines"],
+        &["--write-baselines"],
+    ),
+];
+
+/// Rejects any flag `command` does not declare in [`FLAGS`]. A declared
+/// value flag consumes the next argument, so values may start with `-`.
+/// Unknown commands pass; the dispatch reports them.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let (command, args) = match (command, args.split_first()) {
+        ("runs", Some((sub, rest))) => (format!("runs {sub}"), rest),
+        _ => (command.to_owned(), args),
+    };
+    let Some(&(_, values, switches)) = FLAGS.iter().find(|(c, ..)| *c == command) else {
+        return Ok(());
+    };
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if values.contains(&a.as_str()) {
+            args.next();
+        } else if a.starts_with('-') && !switches.contains(&a.as_str()) {
+            return Err(format!("unknown flag {a} for {command}"));
+        }
+    }
+    Ok(())
+}
 
 fn find_workload(name: &str) -> Result<Box<dyn Workload>, String> {
     juggler_suite::juggler::tenants::workload_by_name(name)

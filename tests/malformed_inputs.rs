@@ -5,6 +5,7 @@
 //! users run.
 //!
 //! Each case writes one fixture file and runs the `juggler` binary on it.
+//! Unknown command-line flags are errors too, not silently ignored.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -120,5 +121,85 @@ fn dangling_value_flags_are_errors() {
         (&["perf-report", "--results"], "--results"),
     ] {
         errors(args, &format!("{flag} requires a value"));
+    }
+}
+
+#[test]
+fn unknown_flags_are_errors() {
+    for (args, want) in [
+        (
+            &["train", "SVM", "--bogus", "3"][..],
+            "unknown flag --bogus for train",
+        ),
+        // `--seed` belongs to `chaos`; `train` must not train the default
+        // seed as if it had been honoured.
+        (
+            &["train", "LOR", "--seed", "416"],
+            "unknown flag --seed for train",
+        ),
+        (
+            &["runs", "list", "--nope"],
+            "unknown flag --nope for runs list",
+        ),
+    ] {
+        errors(args, want);
+    }
+}
+
+/// Runs `juggler <args>` and asserts it neither aborts nor fails
+/// silently: exit 0, or exit 1 with an `error:` line.
+fn exits_cleanly(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_juggler"))
+        .args(args)
+        .output()
+        .expect("juggler runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    match out.status.code() {
+        Some(0) => {}
+        Some(1) => assert!(
+            stderr.contains("error:"),
+            "{args:?}: exit 1 without error:\n{stderr}"
+        ),
+        code => panic!("{args:?}: exit {code:?} (an abort?)\n{stderr}"),
+    }
+}
+
+#[test]
+fn corrupt_stored_manifests_never_abort() {
+    // Each fixture stands in for a recorded manifest in its own store.
+    // `runs list` (and the ledger summary behind it) skips unreadable
+    // documents on purpose; `runs show`/`runs diff` parse the file, by id
+    // and by path, and `health` folds the store.
+    const ID: &str = "0123456789abcdef";
+    let deep = "[".repeat(100_000);
+    for (name, body) in [
+        ("garbage", "\u{0}not a manifest\u{7f}"),
+        ("empty", ""),
+        (
+            "truncated",
+            r#"{"envelope": {"schema_version": 1, "kind": "run"}, "content": {"workload": "LOR", "par"#,
+        ),
+        ("deep", deep.as_str()),
+        ("wrong-type", r#"{"workload":5}"#),
+    ] {
+        let store = scratch().join(format!("store-{name}"));
+        std::fs::create_dir_all(&store).expect("store dir");
+        let manifest = store.join(format!("{ID}.json"));
+        std::fs::write(&manifest, body).expect("write fixture");
+        let reports = scratch().join(format!("reports-{name}"));
+        let (store, manifest, reports) = (
+            store.to_str().expect("utf-8 temp path"),
+            manifest.to_str().expect("utf-8 temp path"),
+            reports.to_str().expect("utf-8 temp path"),
+        );
+        for args in [
+            &["runs", "show", ID, "--store", store][..],
+            &["runs", "show", manifest, "--store", store],
+            &["runs", "diff", ID, manifest, "--store", store],
+            &["runs", "list", "--store", store],
+            &["health", "LOR", "--store", store, "--report-store", reports],
+        ] {
+            exits_cleanly(args);
+        }
     }
 }
