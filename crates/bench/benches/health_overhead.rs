@@ -5,7 +5,7 @@
 //! must stay under 5 % of the `juggler runs record` flow (doctor =
 //! training + validation) that precedes every health check, so the
 //! check is cheap enough to hang off every recorded run. The cold fold
-//! (`load_history` + `fold`, every manifest parsed) is reported
+//! (`fold_ledger` without a cache, every manifest parsed) is reported
 //! informationally. Training, doctor, and folds are measured
 //! interleaved best-of-`REPS`; results land in
 //! `results/BENCH_health_overhead.json` and are gated by the
@@ -16,7 +16,7 @@ use std::time::Instant;
 use bench::print_table;
 use juggler::pipeline::{OfflineTraining, TrainingConfig};
 use juggler::provenance::RunManifest;
-use juggler::watchtower::{load_history, Watchtower};
+use juggler::watchtower::Watchtower;
 use obs::LedgerStore;
 use workloads::{LogisticRegression, Workload};
 
@@ -65,10 +65,15 @@ fn doctor_once(config: &TrainingConfig) -> f64 {
 
 fn cold_fold_once(store: &LedgerStore) -> f64 {
     let t0 = Instant::now();
-    let window = load_history(store, "LOR", None, 0).expect("history loads");
-    let report = Watchtower::default().fold(&window);
+    let report = Watchtower::default()
+        .fold_ledger(store, "LOR", None, 0, None)
+        .expect("uncached fold succeeds");
     let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(window.len(), MANIFESTS, "the whole ledger must be folded");
+    assert_eq!(
+        report.window.len(),
+        MANIFESTS,
+        "the whole ledger must be folded"
+    );
     std::hint::black_box(report.digest());
     elapsed
 }

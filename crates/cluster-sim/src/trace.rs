@@ -26,37 +26,23 @@ use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-/// Default ring-buffer capacity, events.
+/// Ring-buffer capacity, events; once full, the oldest events are
+/// dropped (and counted in [`RunTrace::dropped_events`]).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// Trace knob carried by [`crate::RunOptions`]: whether to record, and how
-/// many events the ring buffer holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Trace knob carried by [`crate::RunOptions`]: whether to record. The
+/// ring buffer holds [`DEFAULT_TRACE_CAPACITY`] events.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Record structured trace events for this run.
     pub enabled: bool,
-    /// Ring-buffer capacity in events; once full, the oldest events are
-    /// dropped (and counted in [`RunTrace::dropped_events`]).
-    pub capacity: usize,
 }
 
 impl TraceConfig {
-    /// Tracing on, default capacity.
+    /// Tracing on.
     #[must_use]
     pub fn enabled() -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        TraceConfig { enabled: true }
     }
 }
 
@@ -475,7 +461,9 @@ impl TraceRecorder {
     #[must_use]
     pub fn new(config: TraceConfig) -> Self {
         TraceRecorder {
-            buf: config.enabled.then(|| TraceBuffer::new(config.capacity)),
+            buf: config
+                .enabled
+                .then(|| TraceBuffer::new(DEFAULT_TRACE_CAPACITY)),
             hist: obs::Log2Histogram::default(),
         }
     }

@@ -30,7 +30,8 @@ pub struct TrainingDiagnostics {
     /// Per-schedule time-model fit reports (stage 4), aligned with the
     /// trained artifact's schedule order.
     pub time_fits: Vec<FitReport>,
-    /// Calibration notes (same strings as the pipeline timings' notes).
+    /// Non-fatal calibration anomalies, human-readable (a clamped stage-3
+    /// scale target, a retried or skipped run).
     pub notes: Vec<String>,
 }
 
@@ -61,9 +62,10 @@ pub struct LedgerEntry {
     pub report_digest: String,
 }
 
-/// Relative error of `predicted` against `actual`; absolute error when
-/// the reference is (numerically) zero.
-fn rel_error(predicted: f64, actual: f64) -> f64 {
+/// Relative error `|predicted − actual| / |actual|`; absolute error when
+/// the reference is (numerically) zero. Shared by [`LedgerEntry`] and the
+/// watchtower's fold over stored manifests.
+pub(crate) fn rel_error(predicted: f64, actual: f64) -> f64 {
     let diff = (predicted - actual).abs();
     if actual.abs() < 1e-12 {
         diff

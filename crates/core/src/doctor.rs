@@ -9,17 +9,14 @@
 //! snapshot.
 //!
 //! [`DoctorReport::render`] is fully deterministic for a given
-//! (workload, config): it contains no wall-clock values — host timings
-//! live in the separate [`PipelineTimings`] field, which callers print
-//! (or don't) themselves.
+//! (workload, config): it contains no wall-clock values. Host time per
+//! stage is the phase profiler's (`juggler profile`).
 
 use cluster_sim::{ClusterConfig, Engine, RunOptions};
 use workloads::Workload;
 
 use crate::diagnostics::{LedgerEntry, PredictionLedger, TrainingDiagnostics};
-use crate::pipeline::{
-    OfflineTraining, PipelineTimings, TrainedJuggler, TrainingConfig, TrainingError,
-};
+use crate::pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig, TrainingError};
 use crate::provenance::RunManifest;
 use crate::recommend::RecommendationMenu;
 use crate::watchtower::{HealthReport, ResidualSeed, Watchtower};
@@ -39,17 +36,12 @@ pub struct DoctorReport {
     pub ledger: PredictionLedger,
     /// Deterministic counter snapshot taken after the validations.
     pub snapshot: obs::Snapshot,
-    /// The run's own metrics registry; `snapshot(true)` adds the host
-    /// wall-clock gauges (`juggler metrics --timings`).
-    pub registry: obs::Registry,
     /// Single-run health baseline: this run's own manifest folded
     /// through the watchtower against the default SLO, with EWMA bands
     /// seeded from the training holdout residuals. Deliberately ignores
     /// the on-disk ledger so the render stays a pure function of
     /// (workload, config) — `juggler health` is the history view.
     pub health: HealthReport,
-    /// Host-side stage timings (never part of [`Self::render`]).
-    pub timings: PipelineTimings,
 }
 
 /// Trains `workload`, validates the menu's predictions, and gathers the
@@ -63,7 +55,7 @@ pub fn doctor(
     let scope = obs::Scope::metrics();
     let _installed = scope.install();
     let registry = scope.registry();
-    let (trained, timings, diagnostics) = OfflineTraining::run_full(workload, config)?;
+    let (trained, diagnostics) = OfflineTraining::run_full(workload, config)?;
 
     let paper = workload.paper_params();
     let (e, f) = (paper.examples as f64, paper.features as f64);
@@ -105,10 +97,8 @@ pub fn doctor(
         menu,
         params: (e, f),
         ledger,
-        snapshot: registry.snapshot(false),
-        registry: registry.clone(),
+        snapshot: registry.snapshot(),
         health: Watchtower::default().fold(&[]),
-        timings,
     };
     let manifest = RunManifest::from_doctor(&report, config, &paper);
     let seeds = residual_seeds(&report.diagnostics);

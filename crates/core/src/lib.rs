@@ -63,9 +63,7 @@ pub use hotspot::{
 pub use memory_calibration::{MemoryCalibration, MemoryFactor, ScaleOutcome, ScaledParams};
 pub use parallel::{resolve_threads, run_indexed, try_run_indexed, with_retry};
 pub use param_calibration::{ParamCalibration, SizeModel};
-pub use pipeline::{
-    OfflineTraining, PipelineStageTiming, PipelineTimings, TrainedJuggler, TrainingConfig,
-};
+pub use pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig};
 pub use provenance::{
     schedule_digest, DiffTolerances, Drift, ManifestContent, ManifestDiff, ManifestEnvelope,
     ModelRecord, RunManifest, ScheduleRecord,
@@ -79,6 +77,6 @@ pub use tenants::{
 pub use time_model::TimeModel;
 pub use transfer::{select_probes, InstanceCatalog, InstanceType, TransferModel};
 pub use watchtower::{
-    load_history, BudgetHealth, DetectorTuning, HealthReport, ModelHealth, ModelSample,
-    RefitAdvice, ResidualSeed, RunSample, Watchtower, SAMPLE_SCHEMA_VERSION,
+    BudgetHealth, HealthReport, ModelHealth, ModelSample, RefitAdvice, ResidualSeed, RunSample,
+    Watchtower, SAMPLE_SCHEMA_VERSION,
 };

@@ -119,83 +119,6 @@ impl Default for TrainingConfig {
     }
 }
 
-/// Wall-clock timing of one offline-pipeline stage. Host timing only —
-/// never part of the serialized artifact (it would break the bit-identical
-/// determinism contract).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PipelineStageTiming {
-    /// Stage label (`"1: hotspot detection"`, …).
-    pub stage: String,
-    /// Host wall-clock seconds the stage took.
-    pub wall_s: f64,
-    /// Experiment runs the stage performed.
-    pub runs: u32,
-}
-
-/// Per-stage wall-clock timings of one pipeline execution, plus
-/// calibration notes (e.g. a clamped stage-3 scale target).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PipelineTimings {
-    /// Stages in execution order.
-    pub stages: Vec<PipelineStageTiming>,
-    /// Non-fatal calibration anomalies, human-readable.
-    pub notes: Vec<String>,
-}
-
-impl PipelineTimings {
-    fn push(&mut self, stage: &str, started: std::time::Instant, runs: u32) {
-        let wall_s = started.elapsed().as_secs_f64();
-        let reg = obs::registry();
-        if reg.enabled() {
-            reg.counter(
-                "pipeline_stage_runs_total",
-                "experiment runs across pipeline stages",
-            )
-            .add(u64::from(runs));
-            let idx = self.stages.len() + 1;
-            reg.gauge(
-                &format!("pipeline_stage{idx}_seconds"),
-                "pipeline stage wall-clock seconds (host timing)",
-                obs::MetricClass::Timing,
-            )
-            .set(wall_s);
-        }
-        self.stages.push(PipelineStageTiming {
-            stage: stage.to_owned(),
-            wall_s,
-            runs,
-        });
-    }
-
-    /// Total wall-clock seconds across recorded stages.
-    #[must_use]
-    pub fn total_wall_s(&self) -> f64 {
-        self.stages.iter().map(|s| s.wall_s).sum()
-    }
-
-    /// Multi-line human summary.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for s in &self.stages {
-            out.push_str(&format!(
-                "  stage {:<28} {:>9}  ({} runs)\n",
-                s.stage,
-                obs::fmt_duration_s(s.wall_s),
-                s.runs
-            ));
-        }
-        out.push_str(&format!(
-            "  total {:>32}\n",
-            obs::fmt_duration_s(self.total_wall_s())
-        ));
-        for n in &self.notes {
-            out.push_str(&format!("  note: {n}\n"));
-        }
-        out
-    }
-}
-
 /// Cost of one training stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageCost {
@@ -412,30 +335,21 @@ impl OfflineTraining {
         workload: &dyn Workload,
         config: &TrainingConfig,
     ) -> Result<TrainedJuggler, TrainingError> {
-        Self::run_traced(workload, config).map(|(trained, _)| trained)
+        Self::run_full(workload, config).map(|(trained, _)| trained)
     }
 
-    /// Like [`OfflineTraining::run`], also returning per-stage wall-clock
-    /// timings and calibration notes. The timings are host-side
-    /// observability only; the returned [`TrainedJuggler`] is byte-for-byte
-    /// the one [`OfflineTraining::run`] produces.
-    pub fn run_traced(
-        workload: &dyn Workload,
-        config: &TrainingConfig,
-    ) -> Result<(TrainedJuggler, PipelineTimings), TrainingError> {
-        Self::run_full(workload, config).map(|(trained, timings, _)| (trained, timings))
-    }
-
-    /// The full-evidence variant: [`OfflineTraining::run_traced`] plus the
+    /// Like [`OfflineTraining::run`], also returning the
     /// [`TrainingDiagnostics`] (hotspot decision trace, per-model fit
-    /// reports) that `juggler doctor` renders. The trained artifact is
-    /// byte-for-byte the one [`OfflineTraining::run`] produces.
+    /// reports, calibration notes) that `juggler doctor` renders. The
+    /// trained artifact is byte-for-byte the one [`OfflineTraining::run`]
+    /// produces. Host wall-clock per stage is the phase profiler's
+    /// (`stage1_hotspot` … `stage4_time_models` under `training`).
     pub fn run_full(
         workload: &dyn Workload,
         config: &TrainingConfig,
-    ) -> Result<(TrainedJuggler, PipelineTimings, TrainingDiagnostics), TrainingError> {
+    ) -> Result<(TrainedJuggler, TrainingDiagnostics), TrainingError> {
         let _prof = obs::prof::scope("training");
-        let mut timings = PipelineTimings::default();
+        let mut notes: Vec<String> = Vec::new();
         let mut costs = TrainingCosts::default();
         let sim = |seed_off: u64| {
             let mut p = workload.sim_params();
@@ -452,7 +366,6 @@ impl OfflineTraining {
 
         // ── Stage 1: hotspot detection (one instrumented sample run). ──
         let stage_prof = obs::prof::scope("stage1_hotspot");
-        let clock = std::time::Instant::now();
         let sample = workload.sample_params();
         let sample_app = workload.build(&sample);
         let calib_cluster = ClusterConfig::new(1, config.calibration_spec);
@@ -465,7 +378,7 @@ impl OfflineTraining {
             )
         })?;
         if attempt > 0 {
-            timings.notes.push(format!(
+            notes.push(format!(
                 "stage-1 sample run succeeded on attempt {}",
                 attempt + 1
             ));
@@ -476,7 +389,6 @@ impl OfflineTraining {
             let _detect = obs::prof::scope("detect");
             detect_hotspots_audited(&sample_app, &metrics, &config.hotspot)
         };
-        timings.push("1: hotspot detection", clock, costs.hotspot.runs);
         obs::log_info!(
             "stage 1 done: {} candidate schedules from the sample run",
             schedules.len()
@@ -486,7 +398,6 @@ impl OfflineTraining {
         // ── Stage 2: parameter calibration (3×3 instrumented runs, one
         //    grid point per worker; each point owns its seed). ──
         let stage_prof = obs::prof::scope("stage2_calibration");
-        let clock = std::time::Instant::now();
         let (e_axis, f_axis) = workload.training_axes();
         let grid = ParamCalibration::training_grid(&e_axis, &f_axis);
         let wanted: BTreeSet<DatasetId> =
@@ -533,7 +444,7 @@ impl OfflineTraining {
             match outcome {
                 Ok((machine_minutes, sizes, attempt)) => {
                     if *attempt > 0 {
-                        timings.notes.push(format!(
+                        notes.push(format!(
                             "stage-2 run at (e={e:.0}, f={f:.0}) succeeded on attempt {}",
                             attempt + 1
                         ));
@@ -551,7 +462,7 @@ impl OfflineTraining {
                         "stage-2 grid point (e={e:.0}, f={f:.0}) skipped after \
                          {TRAINING_RETRIES} attempts: {msg}"
                     );
-                    timings.notes.push(format!(
+                    notes.push(format!(
                         "stage-2 run at (e={e:.0}, f={f:.0}) failed after \
                          {TRAINING_RETRIES} attempts; grid point skipped: {msg}"
                     ));
@@ -565,11 +476,6 @@ impl OfflineTraining {
             Err(e) => return Err(e.into()),
         };
         drop(fit_prof);
-        timings.push(
-            "2: parameter calibration",
-            clock,
-            costs.param_calibration.runs,
-        );
         obs::log_info!(
             "stage 2 done: {} calibration runs, {} dataset size models",
             costs.param_calibration.runs,
@@ -579,7 +485,6 @@ impl OfflineTraining {
 
         // ── Stage 3: memory calibration (one run filling M). ──
         let stage_prof = obs::prof::scope("stage3_memory");
-        let clock = std::time::Instant::now();
         let memory_factor = if let Some(first) = schedules.first() {
             let m_bytes = config.calibration_spec.unified_memory() as f64;
             let (e0, f0) = (
@@ -590,7 +495,7 @@ impl OfflineTraining {
                 sizes.predict_schedule_size(&first.schedule, e, f) as f64
             });
             if let Some(note) = scaled.outcome.note(m_bytes) {
-                timings.notes.push(note);
+                notes.push(note);
             }
             let params = WorkloadParams::auto(scaled.e as u64, scaled.f as u64, sample.iterations);
             let app = workload.build(&params);
@@ -613,24 +518,19 @@ impl OfflineTraining {
                 )
             })?;
             if attempt > 0 {
-                timings.notes.push(format!(
+                notes.push(format!(
                     "stage-3 memory-calibration run succeeded on attempt {}",
                     attempt + 1
                 ));
             }
             costs.memory_calibration.add(&report);
             if let Some(trace) = &report.trace {
-                timings.notes.push(format!("stage-3 {}", trace.summary()));
+                notes.push(format!("stage-3 {}", trace.summary()));
             }
             MemoryFactor::from_run(&app, &first.schedule, &report)
         } else {
             MemoryFactor { factor: 1.0 }
         };
-        timings.push(
-            "3: memory calibration",
-            clock,
-            costs.memory_calibration.runs,
-        );
         obs::log_info!("stage 3 done: memory factor {:.3}", memory_factor.factor);
         drop(stage_prof);
 
@@ -639,7 +539,6 @@ impl OfflineTraining {
         //    (schedule × grid-point) matrix is flattened onto the worker
         //    pool; the seed offset `40 + k` matches the sequential loop. ──
         let stage_prof = obs::prof::scope("stage4_time_models");
-        let clock = std::time::Instant::now();
         let paper = workload.paper_params();
         let cells = schedules.len() * grid.len();
         // The cell application depends only on the grid point — every
@@ -696,7 +595,7 @@ impl OfflineTraining {
                 match cell {
                     Ok((machine_minutes, point, attempt)) => {
                         if *attempt > 0 {
-                            timings.notes.push(format!(
+                            notes.push(format!(
                                 "stage-4 run (schedule {si}, e={e:.0}, f={f:.0}) \
                                  succeeded on attempt {}",
                                 attempt + 1
@@ -713,7 +612,7 @@ impl OfflineTraining {
                             "stage-4 cell (schedule {si}, e={e:.0}, f={f:.0}) skipped \
                              after {TRAINING_RETRIES} attempts: {msg}"
                         );
-                        timings.notes.push(format!(
+                        notes.push(format!(
                             "stage-4 run (schedule {si}, e={e:.0}, f={f:.0}) failed after \
                              {TRAINING_RETRIES} attempts; point skipped: {msg}"
                         ));
@@ -726,7 +625,6 @@ impl OfflineTraining {
             time_models.push(model);
             time_fits.push(report);
         }
-        timings.push("4: execution-time models", clock, costs.time_models.runs);
         obs::log_info!(
             "stage 4 done: {} matrix runs, {} time models",
             costs.time_models.runs,
@@ -738,13 +636,27 @@ impl OfflineTraining {
         if reg.enabled() {
             reg.counter("pipeline_trainings_total", "offline trainings completed")
                 .inc();
+            let runs = [
+                costs.hotspot,
+                costs.param_calibration,
+                costs.memory_calibration,
+                costs.time_models,
+            ]
+            .iter()
+            .map(|stage| u64::from(stage.runs))
+            .sum();
+            reg.counter(
+                "pipeline_stage_runs_total",
+                "experiment runs across pipeline stages",
+            )
+            .add(runs);
         }
 
         let diagnostics = TrainingDiagnostics {
             hotspot: hotspot_audit,
             size_fits,
             time_fits,
-            notes: timings.notes.clone(),
+            notes,
         };
         Ok((
             TrainedJuggler {
@@ -757,7 +669,6 @@ impl OfflineTraining {
                 max_machines: config.max_machines,
                 costs,
             },
-            timings,
             diagnostics,
         ))
     }

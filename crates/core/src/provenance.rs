@@ -20,8 +20,8 @@
 //!
 //! Nothing here carries a wall-clock timestamp: identity must not
 //! depend on when a run happened, only on what it computed. Host-side
-//! stage timings stay in [`PipelineTimings`](crate::PipelineTimings)
-//! and never enter a manifest.
+//! stage timings stay in the phase profile (`juggler profile`) and never
+//! enter a manifest.
 
 use serde::{Deserialize, Serialize};
 

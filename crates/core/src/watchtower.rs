@@ -27,54 +27,36 @@ use serde::{Deserialize, Serialize};
 
 use obs::health::{to_micro, Cusum, EwmaBand, PageHinkley, SloSpec, Verdict, MICRO};
 
+use crate::diagnostics::rel_error;
 use crate::provenance::RunManifest;
 
-/// Detector thresholds, in micro-units. The defaults are tuned to the
-/// repo's determinism contract: coefficient deviation in a healthy
-/// ledger is exactly zero (training is bit-deterministic), so the CUSUM
-/// slack only needs to absorb fixed-point rounding, while the
-/// error-stream detectors absorb the few-percent scatter real
-/// validation errors show.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DetectorTuning {
-    /// CUSUM slack on the coefficient-deviation stream.
-    pub coeff_slack_micro: i64,
-    /// CUSUM alarm threshold on the coefficient-deviation stream.
-    pub coeff_threshold_micro: i64,
-    /// Page–Hinkley per-sample slack on the prediction-error stream.
-    pub err_delta_micro: i64,
-    /// Page–Hinkley alarm threshold on the prediction-error stream.
-    pub err_lambda_micro: i64,
-    /// EWMA smoothing numerator (alpha = num/den).
-    pub ewma_num: i64,
-    /// EWMA smoothing denominator.
-    pub ewma_den: i64,
-    /// EWMA band half-width in deviations.
-    pub ewma_k: i64,
-    /// EWMA minimum band half-width.
-    pub ewma_min_band_micro: i64,
-}
+// Detector thresholds, in micro-units, tuned to the repo's determinism
+// contract: coefficient deviation in a healthy ledger is exactly zero
+// (training is bit-deterministic), so the CUSUM slack only needs to
+// absorb fixed-point rounding, while the error-stream detectors absorb
+// the few-percent scatter real validation errors show.
 
-impl Default for DetectorTuning {
-    fn default() -> Self {
-        DetectorTuning {
-            // Healthy coefficient deviation is 0 exactly; 1 % slack and
-            // a 10 % cumulative threshold mean a 50 % perturbation fires
-            // on the very sample it appears.
-            coeff_slack_micro: 10_000,
-            coeff_threshold_micro: 100_000,
-            // Prediction errors sit in the 5–10 % range for the bundled
-            // workloads; 0.5 % slack + 15 % cumulative threshold needs a
-            // sustained shift, not one bad run.
-            err_delta_micro: 5_000,
-            err_lambda_micro: 150_000,
-            ewma_num: 1,
-            ewma_den: 4,
-            ewma_k: 4,
-            ewma_min_band_micro: 20_000,
-        }
-    }
-}
+/// CUSUM slack on the coefficient-deviation stream. Healthy deviation is
+/// 0 exactly; 1 % slack and a 10 % cumulative threshold mean a 50 %
+/// perturbation fires on the very sample it appears.
+const COEFF_SLACK_MICRO: i64 = 10_000;
+/// CUSUM alarm threshold on the coefficient-deviation stream.
+const COEFF_THRESHOLD_MICRO: i64 = 100_000;
+/// Page–Hinkley per-sample slack on the prediction-error stream.
+/// Prediction errors sit in the 5–10 % range for the bundled workloads;
+/// 0.5 % slack + 15 % cumulative threshold needs a sustained shift, not
+/// one bad run.
+const ERR_DELTA_MICRO: i64 = 5_000;
+/// Page–Hinkley alarm threshold on the prediction-error stream.
+const ERR_LAMBDA_MICRO: i64 = 150_000;
+/// EWMA smoothing numerator (`alpha = EWMA_NUM / EWMA_DEN`).
+const EWMA_NUM: i64 = 1;
+/// EWMA smoothing denominator.
+const EWMA_DEN: i64 = 4;
+/// EWMA band half-width in deviations.
+const EWMA_K: i64 = 4;
+/// EWMA minimum band half-width.
+const EWMA_MIN_BAND_MICRO: i64 = 20_000;
 
 /// Health of one fitted model over the window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,13 +134,11 @@ pub struct HealthReport {
     pub advice: Vec<RefitAdvice>,
 }
 
-/// The watchtower: an SLO plus detector tuning, ready to fold windows.
+/// The watchtower: an SLO, ready to fold windows.
 #[derive(Debug, Clone, Default)]
 pub struct Watchtower {
     /// The error budget to evaluate against.
     pub slo: SloSpec,
-    /// Detector thresholds.
-    pub tuning: DetectorTuning,
 }
 
 /// Schema version of the cached [`RunSample`] projection. Bump when the
@@ -278,13 +258,10 @@ pub struct ResidualSeed {
 }
 
 impl Watchtower {
-    /// A watchtower with the given SLO and default detector tuning.
+    /// A watchtower with the given SLO.
     #[must_use]
     pub fn new(slo: SloSpec) -> Self {
-        Watchtower {
-            slo,
-            tuning: DetectorTuning::default(),
-        }
+        Watchtower { slo }
     }
 
     /// Folds a window of manifests (oldest first) into a health report.
@@ -349,7 +326,6 @@ impl Watchtower {
         window: &[String],
         seeds: &[ResidualSeed],
     ) -> ModelHealth {
-        let t = &self.tuning;
         // (sample, window index it came from) so a firing maps back to
         // the onset run id.
         let mut err_series: Vec<(i64, usize)> = Vec::new();
@@ -368,7 +344,7 @@ impl Watchtower {
             }
         }
 
-        let mut cusum = Cusum::new(0, t.coeff_slack_micro, t.coeff_threshold_micro);
+        let mut cusum = Cusum::new(0, COEFF_SLACK_MICRO, COEFF_THRESHOLD_MICRO);
         let mut coeff_onset = None;
         let mut max_coeff_dev = 0i64;
         for &(x, idx) in &coeff_series {
@@ -378,8 +354,8 @@ impl Watchtower {
             }
         }
 
-        let mut ph = PageHinkley::new(t.err_delta_micro, t.err_lambda_micro);
-        let mut band = EwmaBand::new(t.ewma_num, t.ewma_den, t.ewma_k, t.ewma_min_band_micro);
+        let mut ph = PageHinkley::new(ERR_DELTA_MICRO, ERR_LAMBDA_MICRO);
+        let mut band = EwmaBand::new(EWMA_NUM, EWMA_DEN, EWMA_K, EWMA_MIN_BAND_MICRO);
         if let Some(seed) = seeds.iter().find(|s| s.model == name) {
             band.seed(&seed.residuals_micro);
         }
@@ -484,18 +460,6 @@ impl Watchtower {
             burn_rate_micro,
             verdict,
         }
-    }
-}
-
-/// Relative error `|predicted − actual| / |actual|` (absolute error when
-/// the actual is ~zero) — the same formula `LedgerEntry` uses, repeated
-/// here so stored manifests never need the live types.
-fn rel_error(predicted: f64, actual: f64) -> f64 {
-    let diff = (predicted - actual).abs();
-    if actual.abs() < 1e-12 {
-        diff
-    } else {
-        diff / actual.abs()
     }
 }
 
@@ -711,7 +675,6 @@ impl HealthReport {
             .gauge(
                 "health_level",
                 "overall health verdict level (0 healthy, 1 warn, 2 drifted)",
-                obs::MetricClass::Deterministic,
             )
             .set(f64::from(self.verdict.level()));
         registry
@@ -727,7 +690,6 @@ impl HealthReport {
             .gauge(
                 "health_budget_burn_micro",
                 "error-budget burn rate in micro-units (1e6 = exhausted)",
-                obs::MetricClass::Deterministic,
             )
             .set(self.budget.burn_rate_micro as f64);
         let hist = registry.histogram(
@@ -739,7 +701,6 @@ impl HealthReport {
                 .gauge(
                     &format!("health_model_{}_level", sanitize_metric(&m.name)),
                     "model verdict level (0 healthy, 1 warn, 2 drifted)",
-                    obs::MetricClass::Deterministic,
                 )
                 .set(f64::from(m.verdict.level()));
             if m.mean_err_micro >= 0 {
@@ -767,58 +728,6 @@ fn sanitize_metric(name: &str) -> String {
         out.pop();
     }
     out
-}
-
-/// Loads the fold window for `workload` from a run-ledger store:
-/// newest-first listing filtered by workload, truncated to `limit`
-/// (0 = unlimited) and to runs no older than `since` (an id prefix),
-/// then reversed to oldest-first parsed manifests. Unparseable files
-/// are skipped with a warning.
-pub fn load_history(
-    store: &obs::LedgerStore,
-    workload: &str,
-    since: Option<&str>,
-    limit: usize,
-) -> Result<Vec<RunManifest>, String> {
-    let entries = store
-        .entries()
-        .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
-    // Walk newest-first with a single typed parse per file; stop as soon
-    // as the window is satisfied so `--limit` never parses older runs.
-    let mut manifests: Vec<RunManifest> = Vec::new();
-    let mut since_seen = since.is_none();
-    for entry in entries {
-        let raw = std::fs::read_to_string(&entry.path)
-            .map_err(|e| format!("reading {}: {e}", entry.path.display()))?;
-        let manifest = match RunManifest::from_json(&raw) {
-            Ok(m) => m,
-            Err(e) => {
-                obs::log_warn!("health: skipping {}: {e}", entry.path.display());
-                continue;
-            }
-        };
-        if manifest.content.workload != workload {
-            continue;
-        }
-        let is_since = since.is_some_and(|prefix| entry.id.starts_with(prefix));
-        manifests.push(manifest);
-        if is_since {
-            since_seen = true;
-            break;
-        }
-        if limit > 0 && since.is_none() && manifests.len() == limit {
-            break;
-        }
-    }
-    if !since_seen {
-        let prefix = since.unwrap_or_default();
-        return Err(format!("--since {prefix}: no matching run for {workload}"));
-    }
-    if limit > 0 {
-        manifests.truncate(limit);
-    }
-    manifests.reverse();
-    Ok(manifests)
 }
 
 /// On-disk sample cache: one compact document holding the projection of
@@ -973,12 +882,16 @@ fn write_sample_cache(
 }
 
 impl Watchtower {
-    /// Folds a workload's window straight off a ledger store, reusing a
-    /// persisted [`RunSample`] cache so a steady-state fold parses only
-    /// manifests it has never seen (content-addressing makes the cache
-    /// trivially coherent). `since`/`limit` follow [`load_history`];
-    /// `cache_path = None` disables persistence. The result is
-    /// bit-identical to `self.fold(&load_history(...))`.
+    /// Folds a workload's window straight off a ledger store: the
+    /// newest-first listing filtered by workload, truncated to `limit`
+    /// (0 = unlimited) and to runs no older than `since` (an id prefix),
+    /// folded oldest-first. Unreadable or unparseable files are skipped
+    /// with a warning. A persisted [`RunSample`] cache at `cache_path`
+    /// makes a steady-state fold parse only manifests it has never seen
+    /// (content-addressing makes the cache trivially coherent);
+    /// `cache_path = None` parses every manifest and persists nothing.
+    /// Either way the result is bit-identical to folding the parsed
+    /// window with [`Self::fold`].
     pub fn fold_ledger(
         &self,
         store: &obs::LedgerStore,
@@ -999,9 +912,10 @@ impl Watchtower {
             let sample = match cache.get(&entry.id) {
                 Some(s) => s.clone(),
                 None => {
-                    let raw = std::fs::read_to_string(&entry.path)
-                        .map_err(|e| format!("reading {}: {e}", entry.path.display()))?;
-                    match RunManifest::from_json(&raw) {
+                    let parsed = std::fs::read_to_string(&entry.path)
+                        .map_err(|e| e.to_string())
+                        .and_then(|raw| RunManifest::from_json(&raw));
+                    match parsed {
                         Ok(m) => {
                             let s = RunSample::extract(&m);
                             cache.insert(entry.id.clone(), s.clone());
@@ -1286,10 +1200,15 @@ mod tests {
         }
         let dir = std::env::temp_dir().join(format!("juggler-foldledger-{}", std::process::id()));
         let store = seed_store(&dir, &w);
+        // Newer than every manifest: one file that is not UTF-8 and one
+        // that is UTF-8 but no manifest. Every fold below skips both.
+        std::fs::write(dir.join("00000000000000ff.json"), b"\xff\xfe").unwrap();
+        std::fs::write(dir.join("00000000000000ee.json"), "{\"workload\":5}").unwrap();
         let cache = dir.join("sample_cache.json");
         let tower = Watchtower::default();
 
-        let direct = tower.fold(&load_history(&store, "TINY", None, 0).unwrap());
+        // The store lists `w` newest-first; the fold window is `w` itself.
+        let direct = tower.fold(&w);
         let cold = tower
             .fold_ledger(&store, "TINY", None, 0, Some(&cache))
             .unwrap();
@@ -1303,14 +1222,15 @@ mod tests {
         assert_eq!(direct.digest(), uncached.digest());
         assert_eq!(direct.canonical_json(), warm.canonical_json());
 
-        // since/limit parity with load_history on the cached path.
+        // since/limit narrow the window on the cached path: `--since`
+        // keeps that run and everything newer, `--limit 3` the newest 3.
         let since = w[4].id();
-        let d2 = tower.fold(&load_history(&store, "TINY", Some(&since), 0).unwrap());
+        let d2 = tower.fold(&w[4..]);
         let c2 = tower
             .fold_ledger(&store, "TINY", Some(&since), 0, Some(&cache))
             .unwrap();
         assert_eq!(d2.digest(), c2.digest());
-        let d3 = tower.fold(&load_history(&store, "TINY", None, 3).unwrap());
+        let d3 = tower.fold(&w[5..]);
         let c3 = tower
             .fold_ledger(&store, "TINY", None, 3, Some(&cache))
             .unwrap();
@@ -1326,7 +1246,7 @@ mod tests {
         let store = seed_store(&dir, &w);
         let cache = dir.join("sample_cache.json");
         let tower = Watchtower::default();
-        let expect = tower.fold(&load_history(&store, "TINY", None, 0).unwrap());
+        let expect = tower.fold(&w);
 
         std::fs::write(&cache, "not a cache at all").unwrap();
         let got = tower
@@ -1373,7 +1293,7 @@ mod tests {
         let report = Watchtower::default().fold(&w);
         let reg = obs::Registry::new(true);
         report.register_metrics(&reg);
-        let snap = reg.snapshot(false);
+        let snap = reg.snapshot();
         let prom = snap.to_prometheus();
         assert!(prom.contains("health_level 2"), "{prom}");
         assert!(prom.contains("health_model_time_0_level 2"), "{prom}");
@@ -1382,6 +1302,6 @@ mod tests {
         // Repeat registration into a fresh registry is byte-identical.
         let reg2 = obs::Registry::new(true);
         report.register_metrics(&reg2);
-        assert_eq!(prom, reg2.snapshot(false).to_prometheus());
+        assert_eq!(prom, reg2.snapshot().to_prometheus());
     }
 }

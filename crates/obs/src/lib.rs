@@ -66,7 +66,7 @@ pub use perf::{
     CheckOutcome, PerfReport,
 };
 pub use registry::{
-    log2_quantile, Counter, Gauge, Histogram, Log2Histogram, Metric, MetricClass, MetricKind,
-    MetricValue, Registry, Snapshot, HIST_BUCKETS,
+    log2_quantile, Counter, Gauge, Histogram, Log2Histogram, Metric, MetricKind, MetricValue,
+    Registry, Snapshot, HIST_BUCKETS,
 };
 pub use scope::{global, registry, Installed, Scope};

@@ -25,9 +25,10 @@
 //! function of the work performed and therefore bit-identical at any
 //! `JUGGLER_THREADS` count, provided fan-out sites carry their scope and
 //! phase context to workers with [`fork`]/[`ForkCtx::attach`].
-//! Timings are host wall-clock and excluded from [`Profile::structure_digest`],
-//! exactly like `MetricClass::Timing` metrics are excluded from default
-//! registry snapshots.
+//! Timings are host wall-clock and excluded from [`Profile::structure_digest`].
+//! The profiler is the one recorder of host wall-clock: the metrics
+//! registry holds deterministic metrics only, and per-stage training time
+//! is the `training` subtree (`stage1_hotspot` … `stage4_time_models`).
 //!
 //! Exports: a rendered tree report ([`Profile::render_tree`]), collapsed
 //! stacks for inferno/speedscope flamegraphs ([`Profile::to_collapsed`],

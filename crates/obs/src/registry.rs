@@ -11,6 +11,12 @@
 //! relaxed atomics (sums are order-independent), registration takes a
 //! short mutex. Concurrent increments are exact — no sampling, no lost
 //! updates.
+//!
+//! Every metric is deterministic by construction: call sites record work
+//! counts and model outputs, never host wall-clock, so a snapshot of a
+//! fixed workload is byte-stable across machines and worker-thread
+//! counts and both exports can be golden-tested. Host time is the phase
+//! profiler's ([`crate::prof`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,33 +30,6 @@ use serde::{Deserialize, Serialize};
 /// values in `[2^i, 2^(i+1))` (bucket 0 additionally holds zero), which
 /// covers the full `u64` range.
 pub const HIST_BUCKETS: usize = 64;
-
-/// Whether a metric is a pure function of the work performed
-/// (`Deterministic`) or derived from host wall-clock time (`Timing`).
-///
-/// Deterministic metrics are byte-stable across machines and worker-thread
-/// counts for a fixed workload; timing metrics are not. The default export
-/// ([`Registry::snapshot`] with `include_timings = false`) contains only
-/// deterministic metrics, so `juggler metrics` output can be golden-tested
-/// and compared across thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricClass {
-    /// Pure function of the work performed; byte-stable across runs.
-    Deterministic,
-    /// Host wall-clock derived; varies run to run.
-    Timing,
-}
-
-impl MetricClass {
-    /// Lowercase label used in exports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            MetricClass::Deterministic => "deterministic",
-            MetricClass::Timing => "timing",
-        }
-    }
-}
 
 /// The kind of a registered metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,7 +272,6 @@ impl Cell {
 #[derive(Debug)]
 struct Entry {
     help: String,
-    class: MetricClass,
     cell: Cell,
 }
 
@@ -320,46 +298,40 @@ impl Registry {
         self.0.is_some()
     }
 
-    /// Registers (or looks up) a deterministic counter. Returns a no-op
-    /// handle when the registry is disabled, or when `name` is already
-    /// registered as a different kind.
+    /// Registers (or looks up) a counter. Returns a no-op handle when the
+    /// registry is disabled, or when `name` is already registered as a
+    /// different kind.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        match self.cell(name, help, MetricClass::Deterministic, MetricKind::Counter) {
+        match self.cell(name, help, MetricKind::Counter) {
             Some(Cell::Counter(c)) => Counter(Some(c)),
             _ => Counter::noop(),
         }
     }
 
-    /// Registers (or looks up) a gauge of the given class. Returns a
-    /// no-op handle when the registry is disabled, or when `name` is
-    /// already registered as a different kind.
-    pub fn gauge(&self, name: &str, help: &str, class: MetricClass) -> Gauge {
-        match self.cell(name, help, class, MetricKind::Gauge) {
+    /// Registers (or looks up) a gauge. Returns a no-op handle when the
+    /// registry is disabled, or when `name` is already registered as a
+    /// different kind.
+    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
+        match self.cell(name, help, MetricKind::Gauge) {
             Some(Cell::Gauge(g)) => Gauge(Some(g)),
             _ => Gauge::noop(),
         }
     }
 
-    /// Registers (or looks up) a deterministic log2 histogram. Returns a
-    /// no-op handle when the registry is disabled, or when `name` is
-    /// already registered as a different kind.
+    /// Registers (or looks up) a log2 histogram. Returns a no-op handle
+    /// when the registry is disabled, or when `name` is already
+    /// registered as a different kind.
     pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        match self.cell(
-            name,
-            help,
-            MetricClass::Deterministic,
-            MetricKind::Histogram,
-        ) {
+        match self.cell(name, help, MetricKind::Histogram) {
             Some(Cell::Histogram(h)) => Histogram(Some(h)),
             _ => Histogram::noop(),
         }
     }
 
-    fn cell(&self, name: &str, help: &str, class: MetricClass, kind: MetricKind) -> Option<Cell> {
+    fn cell(&self, name: &str, help: &str, kind: MetricKind) -> Option<Cell> {
         let mut metrics = self.0.as_ref()?.lock();
         let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
-            class,
             cell: match kind {
                 MetricKind::Counter => Cell::Counter(Arc::new(CounterCell::default())),
                 MetricKind::Gauge => Cell::Gauge(Arc::new(GaugeCell::default())),
@@ -377,21 +349,16 @@ impl Registry {
         })
     }
 
-    /// Takes a point-in-time snapshot, sorted by metric name. With
-    /// `include_timings = false` (the byte-stable default export),
-    /// [`MetricClass::Timing`] metrics are omitted. A disabled registry
-    /// snapshots empty.
+    /// Takes a point-in-time snapshot, sorted by metric name. A disabled
+    /// registry snapshots empty.
     #[must_use]
-    pub fn snapshot(&self, include_timings: bool) -> Snapshot {
+    pub fn snapshot(&self) -> Snapshot {
         let Some(metrics) = &self.0 else {
             return Snapshot::default();
         };
         let metrics = metrics.lock();
         let mut out = Vec::with_capacity(metrics.len());
         for (name, entry) in metrics.iter() {
-            if entry.class == MetricClass::Timing && !include_timings {
-                continue;
-            }
             let value = match &entry.cell {
                 Cell::Counter(c) => MetricValue::Counter(c.value.load(Ordering::Relaxed)),
                 Cell::Gauge(g) => {
@@ -402,7 +369,6 @@ impl Registry {
             out.push(Metric {
                 name: name.clone(),
                 help: entry.help.clone(),
-                class: entry.class,
                 value,
             });
         }
@@ -417,8 +383,6 @@ pub struct Metric {
     pub name: String,
     /// Help text supplied at registration.
     pub help: String,
-    /// Deterministic vs timing classification.
-    pub class: MetricClass,
     /// The recorded value.
     pub value: MetricValue,
 }
@@ -574,10 +538,9 @@ impl Snapshot {
             let json_str = |s: &String| serde_json::to_string(s).expect("strings serialize");
             let _ = write!(
                 out,
-                "{{\"name\":{},\"kind\":\"{}\",\"class\":\"{}\",\"help\":{}",
+                "{{\"name\":{},\"kind\":\"{}\",\"help\":{}",
                 json_str(&m.name),
                 kind.label(),
-                m.class.label(),
                 json_str(&m.help)
             );
             match &m.value {
@@ -654,7 +617,7 @@ mod tests {
         let c = reg.counter("x_total", "a counter");
         c.inc();
         assert_eq!(c.get(), 0);
-        assert!(reg.snapshot(true).metrics.is_empty(), "nothing registered");
+        assert!(reg.snapshot().metrics.is_empty(), "nothing registered");
     }
 
     #[test]
@@ -665,7 +628,7 @@ mod tests {
         a.add(3);
         b.inc();
         assert_eq!(a.get(), 4);
-        assert_eq!(reg.snapshot(false).counter("x_total"), Some(4));
+        assert_eq!(reg.snapshot().counter("x_total"), Some(4));
     }
 
     #[test]
@@ -675,7 +638,7 @@ mod tests {
         // Release builds return a no-op handle; debug builds assert, so
         // only exercise the conflict path when debug_assertions are off.
         if !cfg!(debug_assertions) {
-            let g = reg.gauge("x", "conflicting kind", MetricClass::Deterministic);
+            let g = reg.gauge("x", "conflicting kind");
             g.set(1.0);
             assert_eq!(g.get(), 0.0);
         }
@@ -684,7 +647,7 @@ mod tests {
     #[test]
     fn gauge_stores_f64() {
         let reg = Registry::new(true);
-        let g = reg.gauge("ratio", "a gauge", MetricClass::Deterministic);
+        let g = reg.gauge("ratio", "a gauge");
         g.set(0.375);
         assert_eq!(g.get(), 0.375);
     }
@@ -697,7 +660,7 @@ mod tests {
         h.record(1); // bucket 0
         h.record(2); // bucket 1
         h.record(1024); // bucket 10
-        let snap = reg.snapshot(false);
+        let snap = reg.snapshot();
         match &snap.get("dur_us").expect("present").value {
             MetricValue::Histogram(Log2Histogram {
                 buckets,
@@ -743,7 +706,7 @@ mod tests {
             cell.record(v);
         }
         assert_eq!(
-            reg.snapshot(false).get("h").unwrap().value,
+            reg.snapshot().get("h").unwrap().value,
             MetricValue::Histogram(h)
         );
     }
@@ -752,7 +715,7 @@ mod tests {
     fn json_export_keeps_control_characters_in_names() {
         let reg = Registry::new(true);
         reg.counter("odd\u{1}name", "line one\nline two").inc();
-        let json = reg.snapshot(false).to_json();
+        let json = reg.snapshot().to_json();
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let metric = &parsed["metrics"][0];
         assert_eq!(
@@ -766,29 +729,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_sorts_and_filters_timings() {
+    fn snapshot_sorts_by_name() {
         let reg = Registry::new(true);
-        reg.gauge("z_seconds", "wall clock", MetricClass::Timing)
-            .set(1.25);
+        reg.gauge("z_ratio", "a gauge").set(1.25);
         reg.counter("a_total", "a counter").inc();
-        let stable = reg.snapshot(false);
-        assert_eq!(stable.metrics.len(), 1);
-        assert_eq!(stable.metrics[0].name, "a_total");
-        let full = reg.snapshot(true);
-        let names: Vec<&str> = full.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["a_total", "z_seconds"], "name-sorted");
+        let snap = reg.snapshot();
+        let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["a_total", "z_ratio"], "name-sorted");
     }
 
     #[test]
     fn prometheus_export_shape() {
         let reg = Registry::new(true);
         reg.counter("hits_total", "cache hits").add(7);
-        reg.gauge("err_ratio", "relative error", MetricClass::Deterministic)
-            .set(0.5);
+        reg.gauge("err_ratio", "relative error").set(0.5);
         let h = reg.histogram("dur_us", "durations");
         h.record(1);
         h.record(3);
-        let prom = reg.snapshot(false).to_prometheus();
+        let prom = reg.snapshot().to_prometheus();
         assert!(prom.contains("# HELP hits_total cache hits\n"), "{prom}");
         assert!(prom.contains("# TYPE hits_total counter\nhits_total 7\n"));
         assert!(prom.contains("# TYPE err_ratio gauge\nerr_ratio 0.5\n"));
@@ -803,9 +761,8 @@ mod tests {
     fn json_export_shape() {
         let reg = Registry::new(true);
         reg.counter("hits_total", "cache \"hits\"").add(7);
-        reg.gauge("bad", "non-finite", MetricClass::Deterministic)
-            .set(f64::NAN);
-        let json = reg.snapshot(false).to_json();
+        reg.gauge("bad", "non-finite").set(f64::NAN);
+        let json = reg.snapshot().to_json();
         assert!(json.starts_with("{\"metrics\":["), "{json}");
         assert!(json.contains("\"name\":\"hits_total\""));
         assert!(json.contains("\"help\":\"cache \\\"hits\\\"\""), "{json}");
@@ -819,7 +776,7 @@ mod tests {
             let reg = Registry::new(true);
             reg.counter("a_total", "a").add(2);
             reg.histogram("h_us", "h").record(9);
-            reg.snapshot(false)
+            reg.snapshot()
         };
         let (s1, s2) = (build(), build());
         assert_eq!(s1.to_prometheus(), s2.to_prometheus());
@@ -868,7 +825,7 @@ mod tests {
         }
         h.record(700_000); // bucket 19
         h.record(900_000); // bucket 19
-        let snap = reg.snapshot(false);
+        let snap = reg.snapshot();
         let value = &snap.get("err_micro").expect("present").value;
         assert_eq!(value.quantile_upper_bound(50, 100), Some(131_071));
         assert_eq!(value.quantile_upper_bound(95, 100), Some(131_071));
@@ -881,7 +838,7 @@ mod tests {
         // Empty histograms export null quantiles.
         let reg = Registry::new(true);
         let _ = reg.histogram("empty_micro", "no samples");
-        let json = reg.snapshot(false).to_json();
+        let json = reg.snapshot().to_json();
         assert!(
             json.contains("\"p50\":null,\"p95\":null,\"p99\":null"),
             "{json}"

@@ -151,8 +151,8 @@ mod tests {
             registry().counter("x_total", "x").inc();
         }
         assert!(!registry().enabled(), "uninstalled");
-        assert_eq!(outer.registry().snapshot(false).counter("x_total"), Some(2));
-        assert_eq!(inner.registry().snapshot(false).counter("x_total"), Some(5));
+        assert_eq!(outer.registry().snapshot().counter("x_total"), Some(2));
+        assert_eq!(inner.registry().snapshot().counter("x_total"), Some(5));
     }
 
     #[test]
@@ -169,7 +169,7 @@ mod tests {
                 });
             }
         });
-        let snap = run.registry().snapshot(false);
+        let snap = run.registry().snapshot();
         assert_eq!(snap.counter("w_total"), Some(2));
         assert_eq!(snap.counter("lost_total"), None);
     }

@@ -7,7 +7,7 @@
 //! juggler schedules SVM                      # Table 2 view for one workload
 //! juggler sweep SVM --schedule 1             # cost on 1..12 machines
 //! juggler dot LOR > lor.dot                  # Graphviz DAG export
-//! juggler trace SVM --machines 4             # Gantt + Chrome trace JSON + stage timings
+//! juggler trace SVM --machines 4             # Gantt + Chrome trace JSON of one sample run
 //! juggler profile LOR --format tree          # hierarchical phase profile -> ledger
 //! juggler doctor KMEANS                      # model-quality & decision diagnostics
 //! juggler metrics LOR --format prom          # framework metrics export
@@ -25,7 +25,7 @@ use juggler_suite::cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions,
 use juggler_suite::dagflow::to_dot;
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig};
 use juggler_suite::juggler::provenance::{DiffTolerances, ManifestDiff, RunManifest};
-use juggler_suite::juggler::watchtower::{load_history, Watchtower};
+use juggler_suite::juggler::watchtower::Watchtower;
 use juggler_suite::obs;
 use juggler_suite::obs::health::{SloSpec, Verdict};
 use juggler_suite::workloads::{all_workloads, KMeans, MicroBatchStream, SqlStarJoin, Workload};
@@ -93,15 +93,15 @@ USAGE:
   juggler sweep <WORKLOAD> [--schedule N | --ops \"p(1) u(1) p(2)\"]
   juggler dot <WORKLOAD> [--schedule N]
   juggler trace <WORKLOAD> [--machines N] [--width N] [--format gantt|collapsed]
-                 [--out FILE] [--jsonl FILE] [--no-pipeline] [--threads N]
+                 [--out FILE] [--jsonl FILE]
   juggler profile <WORKLOAD> [--format tree|collapsed|json] [--diff <RUN>]
                  [--store DIR] [--threads N]
-  juggler doctor <WORKLOAD> [--threads N] [--timings] [--format text|json]
+  juggler doctor <WORKLOAD> [--threads N] [--format text|json]
   juggler chaos <WORKLOAD> [--plan loss|slow|flaky|pressure|combo|drill]
                  [--machines N] [--seed S]
   juggler tenants [SPEC.json]
   juggler metrics <WORKLOAD> [--format prom|json] [--output FILE]
-                 [--timings] [--threads N]
+                 [--threads N]
   juggler runs record <WORKLOAD> [--threads N] [--store DIR]
   juggler runs list [--store DIR] [--workload W] [--limit N]
   juggler runs show <RUN> [--store DIR]
@@ -122,17 +122,20 @@ the canonical JSON, content-addressed by SHA-256, in the profile ledger
 profile against a stored one (id, unambiguous prefix, or path) and
 reports per-phase time deltas plus the largest regressions. The tree
 structure — phase names, call counts, counters — is deterministic at any
---threads setting; timings are host wall clock. `trace --format
-collapsed` folds the simulated task spans of one run through the same
-stack folder. Progress chatter on stderr is off by default; set
-JUGGLER_LOG=info (or debug) to enable it.
+--threads setting; timings are host wall clock. It is the one record of
+where training time goes: stage1_hotspot .. stage4_time_models, then
+menu, with `sim` call counts giving the runs per stage. `trace` runs
+one sample-scale simulation with the structured trace on: a Gantt chart
+plus Chrome trace JSON, or with --format collapsed its task spans
+folded through the same stack folder. Progress chatter on stderr is off
+by default; set JUGGLER_LOG=info (or debug) to enable it.
 
 `doctor` trains the workload with the metrics registry enabled, validates
 every Pareto option's predicted time/size against a simulated run, and
 prints model-quality (per-model LOO-CV winner and error) and decision
 (hotspot accept/reject reasons) diagnostics. `metrics` runs the same flow
-and exports the registry (Prometheus text by default); --timings includes
-host wall-clock gauges, which makes the output non-deterministic.
+and exports the registry (Prometheus text by default); every metric is
+deterministic, so the export is byte-stable at any --threads setting.
 `doctor --format json` emits the run's provenance manifest instead of the
 human report; `metrics --output FILE` writes the export to a file.
 
@@ -201,29 +204,18 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ("dot", &["--schedule"], &[]),
     (
         "trace",
-        &[
-            "--machines",
-            "--width",
-            "--format",
-            "--out",
-            "--jsonl",
-            "--threads",
-        ],
-        &["--no-pipeline"],
+        &["--machines", "--width", "--format", "--out", "--jsonl"],
+        &[],
     ),
     (
         "profile",
         &["--format", "--diff", "--store", "--threads"],
         &[],
     ),
-    ("doctor", &["--threads", "--format"], &["--timings"]),
+    ("doctor", &["--threads", "--format"], &[]),
     ("chaos", &["--plan", "--machines", "--seed"], &[]),
     ("tenants", &[], &[]),
-    (
-        "metrics",
-        &["--format", "--output", "--threads"],
-        &["--timings"],
-    ),
+    ("metrics", &["--format", "--output", "--threads"], &[]),
     ("runs record", &["--threads", "--store"], &[]),
     ("runs list", &["--store", "--workload", "--limit"], &[]),
     ("runs show", &["--store"], &[]),
@@ -572,7 +564,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let w = find_workload(name)?;
     let machines: u32 = num_flag(args, "--machines", 2)?;
     let width: usize = num_flag(args, "--width", 100)?;
-    let threads = num_flag(args, "--threads", 0)?;
     let format = flag(args, "--format")?.unwrap_or_else(|| "gantt".to_owned());
     let out = flag(args, "--out")?;
     let jsonl = flag(args, "--jsonl")?;
@@ -637,32 +628,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     if let Some(path) = jsonl {
         std::fs::write(&path, trace.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote JSONL event log to {path}");
-    }
-
-    // Per-pipeline-stage wall-clock timings (stage 1 through the stage-5
-    // menu construction), skipped with --no-pipeline.
-    if !args.iter().any(|a| a == "--no-pipeline") {
-        let config = TrainingConfig {
-            threads,
-            ..TrainingConfig::default()
-        };
-        obs::log_info!("timing the offline pipeline for {}...", w.name());
-        let (trained, timings) =
-            OfflineTraining::run_traced(w.as_ref(), &config).map_err(|e| e.to_string())?;
-        let paper = w.paper_params();
-        let clock = std::time::Instant::now();
-        let menu = trained.recommend(paper.e(), paper.f());
-        let menu_s = clock.elapsed().as_secs_f64();
-        println!("pipeline stage timings:");
-        print!("{}", timings.summary());
-        println!(
-            "  stage {:<28} {:>9}  ({} options, {} dominated, {} invalid)",
-            "5: menu construction",
-            obs::fmt_duration_s(menu_s),
-            menu.options.len(),
-            menu.dominated.len(),
-            menu.invalid.len()
-        );
     }
     Ok(())
 }
@@ -790,11 +755,6 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     print!("{}", report.render());
-    // Host wall-clock timings are kept out of the deterministic report.
-    if args.iter().any(|a| a == "--timings") {
-        println!("\nhost stage timings (wall clock, non-deterministic)");
-        print!("{}", report.timings.summary());
-    }
     Ok(())
 }
 
@@ -863,14 +823,9 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     }
     let output = flag(args, "--output")?;
     obs::log_info!("metrics: training {} with a metrics scope...", w.name());
-    let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
-    // --timings re-snapshots the run's registry with the wall-clock
-    // gauges included; the default export is deterministic metrics only.
-    let snapshot = if args.iter().any(|a| a == "--timings") {
-        report.registry.snapshot(true)
-    } else {
-        report.snapshot
-    };
+    let snapshot = juggler_suite::juggler::doctor(w.as_ref(), &config)
+        .map_err(|e| e.to_string())?
+        .snapshot;
     let rendered = match format.as_str() {
         "prom" => snapshot.to_prometheus(),
         _ => format!("{}\n", snapshot.to_json()),
@@ -1150,7 +1105,7 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
         "prom" => {
             let registry = obs::Registry::new(true);
             report.register_metrics(&registry);
-            print!("{}", registry.snapshot(false).to_prometheus());
+            print!("{}", registry.snapshot().to_prometheus());
         }
         _ => print!("{}", report.render_tree()),
     }
@@ -1173,13 +1128,13 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     workloads.dedup();
     let mut worst = Verdict::Healthy;
     println!("{:<8} {:>5}  verdict", "name", "runs");
+    let tower = Watchtower::new(slo);
     for name in workloads {
-        let manifests = load_history(&store, &name, None, 0)?;
-        let report = Watchtower::new(slo.clone()).fold(&manifests);
+        let report = tower.fold_ledger(&store, &name, None, 0, None)?;
         println!(
             "{:<8} {:>5}  {}",
             name,
-            manifests.len(),
+            report.window.len(),
             report.verdict.detail()
         );
         worst = worst.worst(report.verdict.clone());

@@ -70,7 +70,7 @@ impl Workload for PoisonedScoring {
 #[test]
 fn training_skips_dead_grid_points_with_a_note() {
     let config = TrainingConfig::default();
-    let (trained, timings, diagnostics) =
+    let (trained, diagnostics) =
         OfflineTraining::run_full(&PoisonedScoring, &config).expect("training survives the poison");
 
     let skips: Vec<&String> = diagnostics
@@ -97,7 +97,6 @@ fn training_skips_dead_grid_points_with_a_note() {
     // and the time models fitted on the surviving points.
     assert!(skips.len() <= trained.schedules.len());
     assert_eq!(trained.time_models.len(), trained.schedules.len());
-    assert!(timings.stages.iter().any(|s| s.stage.starts_with("4:")));
 
     // Degraded training still yields a Pareto-consistent menu.
     let paper = PoisonedScoring.paper_params();
@@ -116,14 +115,14 @@ fn training_skips_dead_grid_points_with_a_note() {
     }
 
     // Degradation is deterministic: the same poison yields the same notes.
-    let (_, _, again) =
+    let (_, again) =
         OfflineTraining::run_full(&PoisonedScoring, &config).expect("training survives again");
     assert_eq!(diagnostics.notes, again.notes);
 }
 
 #[test]
 fn healthy_training_reports_no_skipped_points() {
-    let (_, _, diagnostics) = OfflineTraining::run_full(&TinyScoring, &TrainingConfig::default())
+    let (_, diagnostics) = OfflineTraining::run_full(&TinyScoring, &TrainingConfig::default())
         .expect("healthy training succeeds");
     assert!(
         diagnostics.notes.iter().all(|n| !n.contains("skipped")),

@@ -1,5 +1,5 @@
 //! The `juggler` binary's outputs: where it files documents and what
-//! `metrics --timings` exports.
+//! `metrics` exports.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -38,17 +38,14 @@ fn profile_is_filed_under_the_working_directory() {
 }
 
 #[test]
-fn metrics_timings_export_adds_the_stage_gauges() {
+fn metrics_json_export_is_byte_identical_across_runs() {
     let dir = workdir("metrics");
-    let export = |extra: &[&str]| {
-        let mut args = vec!["metrics", "KMEANS", "--threads", "1"];
-        args.extend_from_slice(extra);
+    let export = || {
+        let args = ["metrics", "KMEANS", "--threads", "1", "--format", "json"];
         String::from_utf8(juggler(&dir, &args).stdout).expect("utf-8 export")
     };
-    let timed = export(&["--timings"]);
-    let plain = export(&[]);
-    assert!(timed.contains("pipeline_stage1_seconds"), "{timed}");
-    assert!(!plain.contains("pipeline_stage1_seconds"), "{plain}");
-    assert!(plain.contains("sim_runs_total"), "{plain}");
+    let (first, second) = (export(), export());
+    assert!(first.contains("sim_runs_total"), "{first}");
+    assert_eq!(first, second, "every registry metric is deterministic");
     std::fs::remove_dir_all(&dir).ok();
 }

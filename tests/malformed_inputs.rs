@@ -141,6 +141,24 @@ fn unknown_flags_are_errors() {
             &["runs", "list", "--nope"],
             "unknown flag --nope for runs list",
         ),
+        // Host stage timings live in `juggler profile`; the old timing
+        // switches are gone, not silently ignored.
+        (
+            &["trace", "KMEANS", "--no-pipeline"],
+            "unknown flag --no-pipeline for trace",
+        ),
+        (
+            &["trace", "KMEANS", "--threads", "1"],
+            "unknown flag --threads for trace",
+        ),
+        (
+            &["doctor", "KMEANS", "--timings"],
+            "unknown flag --timings for doctor",
+        ),
+        (
+            &["metrics", "KMEANS", "--timings"],
+            "unknown flag --timings for metrics",
+        ),
     ] {
         errors(args, want);
     }
@@ -202,4 +220,67 @@ fn corrupt_stored_manifests_never_abort() {
             exits_cleanly(args);
         }
     }
+}
+
+/// Runs `juggler <args>`, asserts exit 0, and returns its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_juggler"))
+        .args(args)
+        .output()
+        .expect("juggler runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn non_utf8_store_file_is_skipped_by_health_and_watch() {
+    // One real manifest, then a file that is not UTF-8 at all: `health`
+    // and `watch` skip it like an unparseable manifest (and like `runs
+    // list` does), printing exactly what they print without it.
+    let root = scratch().join("store-non-utf8");
+    let _ = std::fs::remove_dir_all(&root);
+    let store = root.join("runs");
+    let (store_s, clean_reports, dirty_reports) = (
+        store.to_str().expect("utf-8 temp path"),
+        root.join("reports-clean"),
+        root.join("reports-dirty"),
+    );
+    stdout_of(&[
+        "runs",
+        "record",
+        "KMEANS",
+        "--threads",
+        "1",
+        "--store",
+        store_s,
+    ]);
+    let health = |reports: &Path| {
+        let reports = reports.to_str().expect("utf-8 temp path");
+        stdout_of(&[
+            "health",
+            "KMEANS",
+            "--store",
+            store_s,
+            "--report-store",
+            reports,
+        ])
+    };
+    let clean = (
+        health(&clean_reports),
+        stdout_of(&["watch", "--store", store_s]),
+    );
+    std::fs::write(store.join("ffffffffffffffff.json"), b"\xff\xfe").expect("write bad file");
+    // A fresh report store, so the fold parses every file instead of
+    // reading the sample cache the first fold left behind.
+    let dirty = (
+        health(&dirty_reports),
+        stdout_of(&["watch", "--store", store_s]),
+    );
+    assert_eq!(clean, dirty);
+    let _ = std::fs::remove_dir_all(&root);
 }
